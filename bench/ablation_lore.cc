@@ -80,7 +80,7 @@ int Run(int argc, char** argv) {
               kK);
   for (const std::string& name : flags.datasets) {
     const AttributedGraph data = LoadDatasetOrDie(name);
-    CodEngine engine(data.graph, data.attributes, {});
+    EngineCore engine(data.graph, data.attributes, {});
     CompressedEvaluator evaluator(engine.model(), engine.options().theta);
     Rng rng(flags.seed);
     const std::vector<Query> queries =
@@ -164,7 +164,7 @@ int Run(int argc, char** argv) {
       EngineOptions options;
       options.transform.beta = beta;
       options.cache_codr_hierarchies = true;
-      CodEngine engine(data.graph, data.attributes, options);
+      EngineCore engine(data.graph, data.attributes, options);
       CompressedEvaluator evaluator(engine.model(), options.theta);
       Rng query_rng(flags.seed + 1);
       const std::vector<Query> queries =
@@ -206,7 +206,7 @@ int Run(int argc, char** argv) {
       EngineOptions options;
       options.transform.transform = transform;
       options.cache_codr_hierarchies = true;
-      CodEngine engine(data.graph, data.attributes, options);
+      EngineCore engine(data.graph, data.attributes, options);
       CompressedEvaluator evaluator(engine.model(), options.theta);
       Rng query_rng(flags.seed + 1);
       const std::vector<Query> queries =

@@ -24,7 +24,8 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "core/cod_engine.h"
+#include "core/compressed_eval.h"
+#include "core/engine_core.h"
 #include "eval/datasets.h"
 #include "eval/query_gen.h"
 

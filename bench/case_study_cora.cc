@@ -10,6 +10,7 @@
 #include "baselines/ktruss.h"
 #include "bench/bench_util.h"
 #include "common/table.h"
+#include "core/query_workspace.h"
 #include "eval/metrics.h"
 #include "graph/connectivity.h"
 
@@ -23,10 +24,10 @@ int Run(int argc, char** argv) {
   const Flags flags = ParseFlags(argc, argv, /*default_queries=*/2,
                                  {"cora-sim"});
   const AttributedGraph data = LoadDatasetOrDie(flags.datasets.front());
-  CodEngine engine(data.graph, data.attributes, {});
+  EngineCore engine(data.graph, data.attributes, {});
   Rng rng(flags.seed);
-  engine.BuildHimor(rng);
-  QueryWorkspace ws = engine.MakeWorkspace(0);
+  COD_CHECK(engine.TryBuildHimor(rng.Next()).ok());
+  QueryWorkspace ws(engine, 0);
   ws.rng() = rng;
 
   std::printf("== Case study (Sec. V-E analog): %s, k = %u ==\n\n",

@@ -22,7 +22,7 @@ int Run(int argc, char** argv) {
     const AttributedGraph data = LoadDatasetOrDie(name);
     EngineOptions options;
     options.cache_codr_hierarchies = true;
-    CodEngine engine(data.graph, data.attributes, options);
+    EngineCore engine(data.graph, data.attributes, options);
     Rng rng(flags.seed);
     const std::vector<Query> queries =
         GenerateQueries(data.attributes, flags.queries, rng);

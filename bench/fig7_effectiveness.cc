@@ -57,7 +57,7 @@ int Run(int argc, char** argv) {
     const AttributedGraph data = LoadDatasetOrDie(name);
     EngineOptions options;
     options.cache_codr_hierarchies = true;
-    CodEngine engine(data.graph, data.attributes, options);
+    EngineCore engine(data.graph, data.attributes, options);
     CompressedEvaluator evaluator(engine.model(), options.theta);
     MonteCarloSimulator simulator(engine.model());
     Rng rng(flags.seed);

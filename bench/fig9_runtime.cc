@@ -44,9 +44,9 @@ int Run(int argc, char** argv) {
       {"dataset", "queries", "CODR", "CODL-", "CODL", "speedup R/L"});
   for (const std::string& name : flags.datasets) {
     const AttributedGraph data = LoadDatasetOrDie(name);
-    CodEngine engine(data.graph, data.attributes, {});  // no CODR cache
+    EngineCore engine(data.graph, data.attributes, {});  // no CODR cache
     Rng rng(flags.seed);
-    engine.BuildHimor(rng);
+    COD_CHECK(engine.TryBuildHimor(rng.Next()).ok());
 
     // Default workload sizes shrink with graph size so the sweep stays
     // laptop-friendly; --queries overrides for all datasets.
@@ -70,7 +70,7 @@ int Run(int argc, char** argv) {
     for (int v = 0; v < 3; ++v) {
       const std::vector<QuerySpec> specs = SpecsFor(queries, variants[v], k);
       timer.Restart();
-      engine.QueryBatch(specs, pool, flags.seed);
+      RunQueryBatch(engine, specs, pool, flags.seed);
       per_variant[v] = timer.ElapsedSeconds();
     }
     const double nq = static_cast<double>(queries.size());

@@ -121,9 +121,9 @@ int Run(int argc, char** argv) {
   const size_t threads = 4;
   for (const std::string& name : flags.datasets) {
     const AttributedGraph data = LoadDatasetOrDie(name);
-    CodEngine engine(data.graph, data.attributes, {});
+    EngineCore engine(data.graph, data.attributes, {});
     Rng rng(flags.seed);
-    engine.BuildHimor(rng);
+    COD_CHECK(engine.TryBuildHimor(rng.Next()).ok());
 
     Rng query_rng(flags.seed + 1);
     const std::vector<Query> queries =
@@ -136,14 +136,14 @@ int Run(int argc, char** argv) {
     }
 
     TaskScheduler pool(threads);
-    engine.QueryBatch(specs, pool, flags.seed);  // warm-up (cache, pages)
+    RunQueryBatch(engine, specs, pool, flags.seed);  // warm-up (cache, pages)
     WallTimer timer;
     for (const double budget_ms : budgets_ms) {
       BatchOptions options;
       options.default_budget_seconds = budget_ms / 1000.0;
       timer.Restart();
       const std::vector<CodResult> results =
-          engine.QueryBatch(specs, pool, flags.seed, options);
+          RunQueryBatch(engine, specs, pool, flags.seed, options);
       const double seconds = timer.ElapsedSeconds();
 
       size_t full = 0;

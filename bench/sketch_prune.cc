@@ -28,6 +28,7 @@
 #include "bench/bench_util.h"
 #include "common/table.h"
 #include "common/timer.h"
+#include "core/query_workspace.h"
 
 namespace cod::bench {
 namespace {
@@ -78,19 +79,19 @@ int Run(int argc, char** argv) {
   EngineOptions plain_opts = opts;
   plain_opts.sketch_prune = false;
 
-  CodEngine pruned(data.graph, data.attributes, opts);
-  CodEngine plain(data.graph, data.attributes, plain_opts);
+  EngineCore pruned(data.graph, data.attributes, opts);
+  EngineCore plain(data.graph, data.attributes, plain_opts);
   // Same schedule seed: both engines hold bit-identical HIMOR indexes and
   // sketches, so any answer divergence below is the prune bound's fault.
-  pruned.BuildHimorParallel(flags.seed, flags.threads);
-  plain.BuildHimorParallel(flags.seed, flags.threads);
+  COD_CHECK(pruned.TryBuildHimor(flags.seed, {}, flags.threads).ok());
+  COD_CHECK(plain.TryBuildHimor(flags.seed, {}, flags.threads).ok());
 
   Rng query_rng(flags.seed + 17);
   const std::vector<Query> queries =
       GenerateQueries(data.attributes, flags.queries, query_rng);
 
-  QueryWorkspace ws_pruned = pruned.MakeWorkspace(flags.seed);
-  QueryWorkspace ws_plain = plain.MakeWorkspace(flags.seed);
+  QueryWorkspace ws_pruned(pruned, flags.seed);
+  QueryWorkspace ws_plain(plain, flags.seed);
 
   // ---- 1. Prune speedup on the exact evaluators. ----
   struct VariantCase {

@@ -18,7 +18,7 @@ int Run(int argc, char** argv) {
   TablePrinter table({"network", "|V|", "|E|", "|A|", "avg |H_l(q)|"});
   for (const std::string& name : flags.datasets) {
     const AttributedGraph data = LoadDatasetOrDie(name);
-    CodEngine engine(data.graph, data.attributes, {});
+    EngineCore engine(data.graph, data.attributes, {});
     Rng rng(flags.seed);
     const std::vector<Query> queries =
         GenerateQueries(data.attributes, flags.queries, rng);

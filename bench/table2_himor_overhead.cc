@@ -31,10 +31,10 @@ int Run(int argc, char** argv) {
                       "sum dep(v)/|V|"});
   for (const std::string& name : flags.datasets) {
     const AttributedGraph data = LoadDatasetOrDie(name);
-    CodEngine engine(data.graph, data.attributes, {});
+    EngineCore engine(data.graph, data.attributes, {});
     Rng rng(flags.seed);
     WallTimer timer;
-    engine.BuildHimor(rng);
+    COD_CHECK(engine.TryBuildHimor(rng.Next()).ok());
     const double build_seconds = timer.ElapsedSeconds();
     const HimorIndex& index = *engine.himor();
     const Dendrogram& base = engine.base_hierarchy();

@@ -37,9 +37,9 @@ int Run(int argc, char** argv) {
                   : std::vector<size_t>{1, 2, 4, 8};
   for (const std::string& name : flags.datasets) {
     const AttributedGraph data = LoadDatasetOrDie(name);
-    CodEngine engine(data.graph, data.attributes, {});
+    EngineCore engine(data.graph, data.attributes, {});
     Rng rng(flags.seed);
-    engine.BuildHimor(rng);
+    COD_CHECK(engine.TryBuildHimor(rng.Next()).ok());
 
     Rng query_rng(flags.seed + 1);
     const std::vector<Query> queries =
@@ -57,12 +57,12 @@ int Run(int argc, char** argv) {
     const size_t reps = flags.smoke ? 3 : 7;
     for (const size_t threads : thread_counts) {
       TaskScheduler pool(threads);
-      engine.QueryBatch(specs, pool, flags.seed);  // warm-up (cache, pages)
+      RunQueryBatch(engine, specs, pool, flags.seed);  // warm-up (cache, pages)
       std::vector<double> times;
       std::vector<CodResult> results;
       for (size_t r = 0; r < reps; ++r) {
         timer.Restart();
-        results = engine.QueryBatch(specs, pool, flags.seed);
+        results = RunQueryBatch(engine, specs, pool, flags.seed);
         times.push_back(timer.ElapsedSeconds());
       }
       const double seconds = Quantile(times, 0.5);

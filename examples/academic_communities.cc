@@ -14,7 +14,8 @@
 #include <cstdlib>
 
 #include "baselines/atc.h"
-#include "core/cod_engine.h"
+#include "core/engine_core.h"
+#include "core/query_workspace.h"
 #include "eval/datasets.h"
 #include "eval/metrics.h"
 #include "eval/query_gen.h"
@@ -29,12 +30,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  cod::CodEngine engine(data->graph, data->attributes, {});
+  cod::EngineCore engine(data->graph, data->attributes, {});
   cod::Rng rng(7);
   std::printf("building HIMOR index (|V|=%zu, |E|=%zu)...\n",
               data->graph.NumNodes(), data->graph.NumEdges());
-  engine.BuildHimor(rng);
-  cod::QueryWorkspace ws = engine.MakeWorkspace(7);
+  COD_CHECK(engine.TryBuildHimor(rng.Next()).ok());
+  cod::QueryWorkspace ws(engine, 7);
 
   cod::Rng query_rng(11);
   const std::vector<cod::Query> candidates =

@@ -5,10 +5,13 @@
 //       writes <out-prefix>.edges and <out-prefix>.attrs
 //   cod_cli stats <edges> <attrs>
 //   cod_cli index <edges> <attrs> <index-out> [--theta=N] [--seed=S]
+//       writes an epoch snapshot (storage/epoch_snapshot.h) holding the
+//       base hierarchy and HIMOR index; --index=<index-out> reads it back
 //   cod_cli query <edges> <attrs> <node> <attribute-name>
 //           [--variant=codl|codl-|codr|codu] [--k=N] [--index=path]
 //           [--seed=S] [--explain] [--dot=community.dot]
 //   cod_cli promoters <edges> <attrs> <attribute-name> [--k=N] [--count=N]
+//           [--index=path]
 //   cod_cli serve <edges> <attrs> [--shards=N] [--queries=N] [--threads=N]
 //           [--k=N] [--seed=S]
 //       builds the serving tier (mono for --shards=1, scatter/gather router
@@ -16,35 +19,43 @@
 //       deterministic query batch through the unified CodServiceInterface;
 //       the answers are bit-identical for every --shards value.
 //
+// Numeric flags are parsed strictly; a malformed or out-of-range value
+// (theta, k or count below 1, k above the HIMOR index depth where the index
+// is consulted) exits 2 with a message.
+//
 // Example session:
 //   cod_cli dataset cora-sim /tmp/cora
-//   cod_cli index /tmp/cora.edges /tmp/cora.attrs /tmp/cora.himor
+//   cod_cli index /tmp/cora.edges /tmp/cora.attrs /tmp/cora.snap
 //   cod_cli query /tmp/cora.edges /tmp/cora.attrs 42 label3
-//           --index=/tmp/cora.himor --k=5     (one line)
+//           --index=/tmp/cora.snap --k=5     (one line)
 //   cod_cli serve /tmp/cora.edges /tmp/cora.attrs --shards=4
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/task_scheduler.h"
-#include "core/cod_engine.h"
+#include "core/engine_core.h"
+#include "core/query_workspace.h"
 #include "eval/datasets.h"
 #include "eval/metrics.h"
 #include "eval/query_gen.h"
 #include "graph/export.h"
 #include "graph/graph_io.h"
 #include "serving/service_interface.h"
+#include "storage/epoch_snapshot.h"
 
 namespace {
 
 using cod::AttributedGraph;
-using cod::CodEngine;
 using cod::CodResult;
 using cod::CodVariant;
+using cod::EngineCore;
 using cod::EngineOptions;
 using cod::QuerySpec;
 using cod::QueryWorkspace;
@@ -90,18 +101,44 @@ struct CliFlags {
   bool ok = true;
 };
 
+// Strict unsigned parse: digits only (no sign, whitespace or trailing
+// junk), and no larger than `max`.
+bool ParseUnsigned(const char* text, uint64_t max, uint64_t* out) {
+  if (*text < '0' || *text > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (errno != 0 || *end != '\0' || value > max) return false;
+  *out = value;
+  return true;
+}
+
+template <typename T>
+bool ParseFlagValue(const std::string& arg, size_t prefix_len, T* out) {
+  uint64_t value = 0;
+  if (!ParseUnsigned(arg.c_str() + prefix_len,
+                     std::numeric_limits<T>::max(), &value)) {
+    std::fprintf(stderr, "invalid value in %s: expected an unsigned integer "
+                 "up to %llu\n", arg.c_str(),
+                 static_cast<unsigned long long>(
+                     std::numeric_limits<T>::max()));
+    return false;
+  }
+  *out = static_cast<T>(value);
+  return true;
+}
+
 CliFlags ParseCliFlags(int argc, char** argv, int first) {
   CliFlags flags;
   for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
+    bool parsed = true;
     if (arg.rfind("--theta=", 0) == 0) {
-      flags.theta = static_cast<uint32_t>(std::strtoul(arg.c_str() + 8,
-                                                       nullptr, 10));
+      parsed = ParseFlagValue(arg, 8, &flags.theta);
     } else if (arg.rfind("--k=", 0) == 0) {
-      flags.k = static_cast<uint32_t>(std::strtoul(arg.c_str() + 4, nullptr,
-                                                   10));
+      parsed = ParseFlagValue(arg, 4, &flags.k);
     } else if (arg.rfind("--seed=", 0) == 0) {
-      flags.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      parsed = ParseFlagValue(arg, 7, &flags.seed);
     } else if (arg.rfind("--variant=", 0) == 0) {
       flags.variant = arg.substr(10);
     } else if (arg.rfind("--index=", 0) == 0) {
@@ -109,23 +146,43 @@ CliFlags ParseCliFlags(int argc, char** argv, int first) {
     } else if (arg.rfind("--dot=", 0) == 0) {
       flags.dot_path = arg.substr(6);
     } else if (arg.rfind("--count=", 0) == 0) {
-      flags.count = std::strtoull(arg.c_str() + 8, nullptr, 10);
+      parsed = ParseFlagValue(arg, 8, &flags.count);
     } else if (arg.rfind("--shards=", 0) == 0) {
-      flags.shards = static_cast<uint32_t>(std::strtoul(arg.c_str() + 9,
-                                                        nullptr, 10));
+      parsed = ParseFlagValue(arg, 9, &flags.shards);
     } else if (arg.rfind("--queries=", 0) == 0) {
-      flags.queries = std::strtoull(arg.c_str() + 10, nullptr, 10);
+      parsed = ParseFlagValue(arg, 10, &flags.queries);
     } else if (arg.rfind("--threads=", 0) == 0) {
-      flags.threads = static_cast<uint32_t>(std::strtoul(arg.c_str() + 10,
-                                                         nullptr, 10));
+      parsed = ParseFlagValue(arg, 10, &flags.threads);
     } else if (arg == "--explain") {
       flags.explain = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      flags.ok = false;
+      parsed = false;
     }
+    flags.ok = flags.ok && parsed;
+  }
+  if (flags.theta < 1) {
+    std::fprintf(stderr, "invalid --theta=%u: must be >= 1\n", flags.theta);
+    flags.ok = false;
+  }
+  if (flags.k < 1) {
+    std::fprintf(stderr, "invalid --k=%u: must be >= 1\n", flags.k);
+    flags.ok = false;
+  }
+  if (flags.count < 1) {
+    std::fprintf(stderr, "invalid --count=%zu: must be >= 1\n", flags.count);
+    flags.ok = false;
   }
   return flags;
+}
+
+// Index-backed commands (CODL, promoters, serving) answer from HIMOR ranks,
+// which exist only below the index depth.
+bool CheckIndexDepth(const CliFlags& flags, const EngineOptions& options) {
+  if (flags.k <= options.himor_max_rank) return true;
+  std::fprintf(stderr, "invalid --k=%u: must be <= %u (the HIMOR index "
+               "depth, himor_max_rank)\n", flags.k, options.himor_max_rank);
+  return false;
 }
 
 cod::Result<AttributedGraph> LoadPair(const std::string& edges,
@@ -177,6 +234,36 @@ int CmdStats(int argc, char** argv) {
   return 0;
 }
 
+// Reassembles a core from an epoch snapshot written by `cod_cli index`,
+// refusing one built over a different graph or with a different theta.
+cod::Result<std::unique_ptr<EngineCore>> LoadIndexedCore(
+    const std::string& path, AttributedGraph data,
+    const EngineOptions& options) {
+  cod::Result<cod::DecodedEpochSnapshot> snap =
+      cod::LoadEpochSnapshotFile(path);
+  if (!snap.ok()) return snap.status();
+  if (snap->meta.num_nodes != data.graph.NumNodes() ||
+      snap->meta.num_edges != data.graph.NumEdges()) {
+    return Status::InvalidArgument(
+        path + ": index was built for a different graph (node or edge count "
+               "mismatch)");
+  }
+  if (snap->meta.engine_theta != options.theta) {
+    return Status::InvalidArgument(
+        path + ": index was built with theta = " +
+        std::to_string(snap->meta.engine_theta) + ", not " +
+        std::to_string(options.theta));
+  }
+  if (!snap->himor.has_value()) {
+    return Status::InvalidArgument(path + ": snapshot holds no HIMOR index");
+  }
+  return EngineCore::FromPrebuilt(
+      std::make_shared<const cod::Graph>(std::move(data.graph)),
+      std::make_shared<const cod::AttributeTable>(std::move(data.attributes)),
+      options, std::move(*snap->hierarchy), std::move(snap->himor),
+      std::move(snap->sketch), /*index_absent_degraded=*/false);
+}
+
 int CmdIndex(int argc, char** argv) {
   if (argc < 5) return Usage();
   const CliFlags flags = ParseCliFlags(argc, argv, 5);
@@ -187,14 +274,16 @@ int CmdIndex(int argc, char** argv) {
   options.theta = flags.theta;
   std::printf("clustering %zu nodes and building HIMOR (theta = %u)...\n",
               data->graph.NumNodes(), flags.theta);
-  CodEngine engine(data->graph, data->attributes, options);
-  Rng rng(flags.seed);
-  engine.BuildHimor(rng);
-  const Status saved = engine.SaveHimor(argv[4]);
+  EngineCore engine(data->graph, data->attributes, options);
+  COD_CHECK(engine.TryBuildHimor(Rng(flags.seed).Next()).ok());
+  cod::EpochSnapshotMeta meta;
+  meta.epoch = 1;
+  meta.seed = flags.seed;
+  const std::string bytes = cod::EncodeEpochSnapshot(meta, engine);
+  const Status saved = cod::WriteEpochSnapshotFile(argv[4], bytes);
   if (!saved.ok()) return Fail(saved);
-  std::printf("wrote %s (%zu entries, %.2f MB)\n", argv[4],
-              engine.himor()->NumEntries(),
-              engine.himor()->MemoryBytes() / 1e6);
+  std::printf("wrote %s (%zu entries, %.2f MB snapshot)\n", argv[4],
+              engine.himor()->NumEntries(), bytes.size() / 1e6);
   return 0;
 }
 
@@ -202,25 +291,13 @@ int CmdQuery(int argc, char** argv) {
   if (argc < 6) return Usage();
   const CliFlags flags = ParseCliFlags(argc, argv, 6);
   if (!flags.ok) return 2;
-  cod::Result<AttributedGraph> data = LoadPair(argv[2], argv[3]);
-  if (!data.ok()) return Fail(data.status());
-  const cod::NodeId node =
-      static_cast<cod::NodeId>(std::strtoul(argv[4], nullptr, 10));
-  if (node >= data->graph.NumNodes()) {
-    std::fprintf(stderr, "node %u out of range\n", node);
-    return 1;
+  uint64_t node_arg = 0;
+  if (!ParseUnsigned(argv[4], std::numeric_limits<cod::NodeId>::max(),
+                     &node_arg)) {
+    std::fprintf(stderr, "invalid node '%s': expected a node id\n", argv[4]);
+    return 2;
   }
-  const cod::AttributeId attr = data->attributes.Find(argv[5]);
-  if (attr == cod::kInvalidAttribute) {
-    std::fprintf(stderr, "unknown attribute '%s'\n", argv[5]);
-    return 1;
-  }
-
-  EngineOptions options;
-  options.theta = flags.theta;
-  CodEngine engine(data->graph, data->attributes, options);
-  Rng rng(flags.seed);
-  QueryWorkspace ws = engine.MakeWorkspace(flags.seed);
+  const cod::NodeId node = static_cast<cod::NodeId>(node_arg);
 
   // Map the variant flag onto the canonical QuerySpec entry point.
   QuerySpec spec;
@@ -238,24 +315,51 @@ int CmdQuery(int argc, char** argv) {
     std::fprintf(stderr, "unknown variant '%s'\n", flags.variant.c_str());
     return 2;
   }
+  EngineOptions options;
+  options.theta = flags.theta;
+  if (spec.variant == CodVariant::kCodL && !CheckIndexDepth(flags, options)) {
+    return 2;
+  }
+
+  cod::Result<AttributedGraph> data = LoadPair(argv[2], argv[3]);
+  if (!data.ok()) return Fail(data.status());
+  if (node >= data->graph.NumNodes()) {
+    std::fprintf(stderr, "node %u out of range\n", node);
+    return 1;
+  }
+  const cod::AttributeId attr = data->attributes.Find(argv[5]);
+  if (attr == cod::kInvalidAttribute) {
+    std::fprintf(stderr, "unknown attribute '%s'\n", argv[5]);
+    return 1;
+  }
   if (spec.variant != CodVariant::kCodU) spec.attrs = {attr};
 
-  CodResult result;
-  if (spec.variant == CodVariant::kCodL) {
-    if (!flags.index_path.empty()) {
-      const Status loaded = engine.LoadHimor(flags.index_path);
-      if (!loaded.ok()) return Fail(loaded);
-    } else {
+  std::unique_ptr<EngineCore> engine;
+  if (spec.variant == CodVariant::kCodL && !flags.index_path.empty()) {
+    cod::Result<std::unique_ptr<EngineCore>> loaded =
+        LoadIndexedCore(flags.index_path, std::move(data).value(), options);
+    if (!loaded.ok()) return Fail(loaded.status());
+    engine = std::move(loaded).value();
+  } else {
+    engine = std::make_unique<EngineCore>(
+        std::make_shared<const cod::Graph>(std::move(data->graph)),
+        std::make_shared<const cod::AttributeTable>(
+            std::move(data->attributes)),
+        options);
+    if (spec.variant == CodVariant::kCodL) {
       std::printf("(no --index given: building HIMOR in memory)\n");
-      engine.BuildHimor(rng);
+      COD_CHECK(engine->TryBuildHimor(Rng(flags.seed).Next()).ok());
     }
   }
+  QueryWorkspace ws(*engine, flags.seed);
+
+  CodResult result;
   if (flags.explain && spec.variant == CodVariant::kCodL) {
-    const auto explanation = engine.ExplainCodL(node, attr, flags.k, ws);
-    std::printf("%s", explanation.ToString(engine.base_hierarchy()).c_str());
+    const auto explanation = engine->ExplainCodL(node, attr, flags.k, ws);
+    std::printf("%s", explanation.ToString(engine->base_hierarchy()).c_str());
     result = explanation.result;
   } else {
-    result = engine.Query(spec, ws);
+    result = engine->Query(spec, ws);
   }
 
   if (!result.found) {
@@ -270,8 +374,9 @@ int CmdQuery(int argc, char** argv) {
               result.rank + 1,
               result.answered_from_index ? " [index hit]" : "");
   std::printf("  topology density %.3f, attribute density %.3f\n",
-              cod::TopologyDensity(data->graph, result.members),
-              cod::AttributeDensity(data->attributes, attr, result.members));
+              cod::TopologyDensity(engine->graph(), result.members),
+              cod::AttributeDensity(engine->attributes(), attr,
+                                    result.members));
   std::printf("  members:");
   const size_t preview = std::min<size_t>(result.members.size(), 25);
   for (size_t i = 0; i < preview; ++i) {
@@ -283,7 +388,7 @@ int CmdQuery(int argc, char** argv) {
   std::printf("\n");
   if (!flags.dot_path.empty()) {
     const Status exported =
-        cod::ExportCommunityDot(data->graph, result.members, node,
+        cod::ExportCommunityDot(engine->graph(), result.members, node,
                                 flags.dot_path);
     if (!exported.ok()) return Fail(exported);
     std::printf("wrote %s (render with: neato -Tpng %s -o community.png)\n",
@@ -296,6 +401,9 @@ int CmdPromoters(int argc, char** argv) {
   if (argc < 5) return Usage();
   const CliFlags flags = ParseCliFlags(argc, argv, 5);
   if (!flags.ok) return 2;
+  EngineOptions options;
+  options.theta = flags.theta;
+  if (!CheckIndexDepth(flags, options)) return 2;
   cod::Result<AttributedGraph> data = LoadPair(argv[2], argv[3]);
   if (!data.ok()) return Fail(data.status());
   const cod::AttributeId attr = data->attributes.Find(argv[4]);
@@ -303,18 +411,19 @@ int CmdPromoters(int argc, char** argv) {
     std::fprintf(stderr, "unknown attribute '%s'\n", argv[4]);
     return 1;
   }
-  EngineOptions options;
-  options.theta = flags.theta;
-  CodEngine engine(data->graph, data->attributes, options);
+  std::unique_ptr<EngineCore> engine;
   if (!flags.index_path.empty()) {
-    const Status loaded = engine.LoadHimor(flags.index_path);
-    if (!loaded.ok()) return Fail(loaded);
+    cod::Result<std::unique_ptr<EngineCore>> loaded =
+        LoadIndexedCore(flags.index_path, std::move(data).value(), options);
+    if (!loaded.ok()) return Fail(loaded.status());
+    engine = std::move(loaded).value();
   } else {
-    Rng rng(flags.seed);
-    engine.BuildHimor(rng);
+    engine = std::make_unique<EngineCore>(data->graph, data->attributes,
+                                          options);
+    COD_CHECK(engine->TryBuildHimor(Rng(flags.seed).Next()).ok());
   }
   const auto promoters =
-      engine.FindTopPromoters(attr, flags.count, flags.k);
+      engine->FindTopPromoters(attr, flags.count, flags.k);
   if (promoters.empty()) {
     std::printf("no '%s' holder is top-%u anywhere\n", argv[4], flags.k);
     return 0;
@@ -338,6 +447,8 @@ int CmdServe(int argc, char** argv) {
   options.engine.theta = flags.theta;
   options.seed = flags.seed;
   options.num_shards = flags.shards;
+  // The batch below is CODL, which consults the index.
+  if (!CheckIndexDepth(flags, options.engine)) return 2;
   const Status valid = options.Validate();
   if (!valid.ok()) return Fail(valid);
 

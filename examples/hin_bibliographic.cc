@@ -6,7 +6,7 @@
 //      co-authorship graph (edge weight = number of co-authored papers);
 //   3. attach each author's publication venues as attributes;
 //   4. ask for an author's characteristic community on a venue topic with
-//      the ordinary CodEngine — the projection made the problem homogeneous.
+//      the ordinary EngineCore — the projection made the problem homogeneous.
 //
 //   $ ./hin_bibliographic [num_authors]
 
@@ -16,7 +16,8 @@
 #include <string>
 #include <vector>
 
-#include "core/cod_engine.h"
+#include "core/engine_core.h"
+#include "core/query_workspace.h"
 #include "graph/hin.h"
 #include "eval/query_gen.h"
 
@@ -119,9 +120,9 @@ int main(int argc, char** argv) {
       std::move(attr_builder).Build(projection->graph.NumNodes());
 
   // COD on the projected graph.
-  cod::CodEngine engine(projection->graph, attrs, {});
-  engine.BuildHimorParallel(/*seed=*/23);
-  cod::QueryWorkspace ws = engine.MakeWorkspace(0);
+  cod::EngineCore engine(projection->graph, attrs, {});
+  COD_CHECK(engine.TryBuildHimor(/*seed=*/23).ok());
+  cod::QueryWorkspace ws(engine, 0);
   ws.rng() = rng;
   cod::Rng query_rng(29);
   const std::vector<cod::Query> queries =

@@ -1,4 +1,4 @@
-// Quickstart: build a small attributed graph, construct a CodEngine, and ask
+// Quickstart: build a small attributed graph, construct an EngineCore, and ask
 // for a node's characteristic community — the largest community on the query
 // topic in which the node is one of the top-k most influential members.
 //
@@ -9,7 +9,8 @@
 
 #include <cstdio>
 
-#include "core/cod_engine.h"
+#include "core/engine_core.h"
+#include "core/query_workspace.h"
 
 int main() {
   // 1. Build the graph (15 undirected edges over 10 nodes).
@@ -35,13 +36,13 @@ int main() {
   cod::EngineOptions options;
   options.k = 1;       // require the query to be the single most influential
   options.theta = 200; // RR graphs per node (tiny graph -> sample generously)
-  cod::CodEngine engine(graph, attrs, options);
+  cod::EngineCore engine(graph, attrs, options);
 
   // 4. Build the HIMOR index once, then query through a workspace (one
   //    workspace per thread; this example is single-threaded).
   cod::Rng rng(/*seed=*/42);
-  engine.BuildHimor(rng);
-  cod::QueryWorkspace ws = engine.MakeWorkspace(/*seed=*/42);
+  COD_CHECK(engine.TryBuildHimor(rng.Next()).ok());
+  cod::QueryWorkspace ws(engine, /*seed=*/42);
 
   const cod::AttributeId topic = attrs.Find("DB");
   auto show = [&](cod::NodeId query, uint32_t k) {

@@ -24,7 +24,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/crc32c.h"
 #include "common/status.h"
 
 static_assert(std::endian::native == std::endian::little,
@@ -32,47 +31,7 @@ static_assert(std::endian::native == std::endian::little,
 
 namespace cod {
 
-// Streams PODs and length-prefixed arrays to a file. The path given at
-// construction is remembered for error reporting — Finish() takes no
-// arguments and returns the first write error, if any.
-class BinaryWriter {
- public:
-  explicit BinaryWriter(std::string path)
-      : path_(std::move(path)), out_(path_, std::ios::binary) {}
-
-  bool ok() const { return static_cast<bool>(out_); }
-  const std::string& path() const { return path_; }
-
-  template <typename T>
-  void WritePod(const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    out_.write(reinterpret_cast<const char*>(&value), sizeof(T));
-  }
-
-  template <typename T>
-  void WriteVector(const std::vector<T>& values) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    WritePod<uint64_t>(values.size());
-    out_.write(reinterpret_cast<const char*>(values.data()),
-               static_cast<std::streamsize>(values.size() * sizeof(T)));
-  }
-
-  void WriteBytes(std::string_view bytes) {
-    out_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-
-  Status Finish() {
-    out_.flush();
-    if (!out_) return Status::IoError("write to " + path_ + " failed");
-    return Status::Ok();
-  }
-
- private:
-  std::string path_;
-  std::ofstream out_;
-};
-
-// The in-memory twin of BinaryWriter: appends to a std::string. Snapshot
+// Appends PODs and length-prefixed arrays to a std::string. Snapshot
 // sections are assembled here so each section's CRC32C can be computed over
 // the exact bytes that hit the disk.
 class BinaryBufferWriter {
@@ -273,65 +232,6 @@ class BinaryReader {
   uint64_t off_ = 0;
   Status status_;
 };
-
-// ---- Checksummed single-payload files. ----
-//
-// Layout: u32 magic | u32 version | u64 payload_size | payload | u32 CRC32C
-// of the payload. The standalone dendrogram / HIMOR files use this; the
-// epoch snapshot container (storage/epoch_snapshot.h) has its own
-// section-wise layout instead.
-
-inline Status WriteChecksummedFile(const std::string& path, uint32_t magic,
-                                   uint32_t version,
-                                   std::string_view payload) {
-  BinaryWriter writer(path);
-  if (!writer.ok()) return Status::IoError("cannot open " + path);
-  writer.WritePod(magic);
-  writer.WritePod(version);
-  writer.WritePod<uint64_t>(payload.size());
-  writer.WriteBytes(payload);
-  writer.WritePod<uint32_t>(Crc32c(payload));
-  return writer.Finish();
-}
-
-// Returns the verified payload bytes; `what` names the format in errors
-// ("dendrogram", "HIMOR index", ...). Magic mismatch, version skew,
-// truncation, over-long payload length, and CRC mismatch all produce a
-// clean Status.
-inline Result<std::string> ReadChecksummedFile(const std::string& path,
-                                               uint32_t magic,
-                                               uint32_t version,
-                                               const std::string& what) {
-  BinaryReader reader(path);
-  if (!reader.ok()) return reader.status();
-  uint32_t file_magic = 0;
-  uint32_t file_version = 0;
-  uint64_t payload_size = 0;
-  if (!reader.ReadPod(&file_magic) || file_magic != magic) {
-    return Status::InvalidArgument(path + ": not a codlib " + what + " file");
-  }
-  if (!reader.ReadPod(&file_version) || file_version != version) {
-    return Status::InvalidArgument(path + ": unsupported " + what +
-                                   " version");
-  }
-  if (!reader.ReadPod(&payload_size) ||
-      payload_size + sizeof(uint32_t) != reader.remaining()) {
-    return Status::InvalidArgument(path + ": " + what +
-                                   " payload length does not match file size");
-  }
-  std::string tail;
-  if (!reader.ReadRemaining(&tail) ||
-      tail.size() != payload_size + sizeof(uint32_t)) {
-    return Status::InvalidArgument(path + ": truncated " + what + " file");
-  }
-  std::string payload(tail, 0, payload_size);
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, tail.data() + payload_size, sizeof(stored_crc));
-  if (Crc32c(payload) != stored_crc) {
-    return Status::InvalidArgument(path + ": " + what + " checksum mismatch");
-  }
-  return payload;
-}
 
 }  // namespace cod
 

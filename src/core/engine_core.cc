@@ -1036,28 +1036,6 @@ std::vector<Promoter> EngineCore::FindTopPromoters(AttributeId attr,
   return promoters;
 }
 
-Status EngineCore::SaveHimor(const std::string& path) const {
-  if (!himor_.has_value()) {
-    return Status::FailedPrecondition("no HIMOR index built");
-  }
-  return himor_->Save(path);
-}
-
-Status EngineCore::LoadHimor(const std::string& path) {
-  Result<HimorIndex> loaded = HimorIndex::Load(path);
-  if (!loaded.ok()) return loaded.status();
-  if (loaded->NumNodes() != graph_->NumNodes()) {
-    return Status::InvalidArgument(
-        "HIMOR index was built for a different graph (node count mismatch)");
-  }
-  himor_ = std::move(loaded).value();
-  // Any resident sketch belongs to the REPLACED index's build (its rung
-  // estimates would disagree with the loaded entries), so drop it. Pruning
-  // and the sketch rung just switch off.
-  sketch_.reset();
-  return Status::Ok();
-}
-
 void EngineCore::AdoptSketch(std::optional<CoverageSketchIndex> sketch) {
   sketch_ = std::move(sketch);
   if (sketch_.has_value() && MetricsRegistry::enabled()) {
@@ -1067,52 +1045,13 @@ void EngineCore::AdoptSketch(std::optional<CoverageSketchIndex> sketch) {
   }
 }
 
-void EngineCore::BuildHimor(Rng& rng) {
+Status EngineCore::TryBuildHimor(uint64_t seed, const Budget& budget,
+                                 size_t num_threads) {
   std::optional<CoverageSketchIndex> sketch;
-  Result<HimorIndex> built =
-      options_.component_scoped
-          ? HimorIndex::BuildScoped(model_, base_, lca_, options_.theta,
-                                    rng.Next(), options_.himor_max_rank,
-                                    Budget{}, comp_size_of_node_,
-                                    options_.sketch_bits, &sketch)
-          : HimorIndex::Build(model_, base_, lca_, options_.theta, rng,
-                              options_.himor_max_rank, Budget{},
-                              options_.sketch_bits, &sketch);
-  COD_CHECK(built.ok());
-  himor_ = std::move(built).value();
-  AdoptSketch(std::move(sketch));
-}
-
-void EngineCore::BuildHimorParallel(uint64_t seed, size_t num_threads) {
-  std::optional<CoverageSketchIndex> sketch;
-  // Under component scoping the scoped builder already seeds per source, so
-  // it is thread-count independent; num_threads is moot.
-  Result<HimorIndex> built =
-      options_.component_scoped
-          ? HimorIndex::BuildScoped(model_, base_, lca_, options_.theta,
-                                    seed, options_.himor_max_rank, Budget{},
-                                    comp_size_of_node_, options_.sketch_bits,
-                                    &sketch)
-          : HimorIndex::BuildParallel(model_, base_, lca_, options_.theta,
-                                      seed, options_.himor_max_rank,
-                                      num_threads, Budget{},
-                                      options_.sketch_bits, &sketch);
-  COD_CHECK(built.ok());
-  himor_ = std::move(built).value();
-  AdoptSketch(std::move(sketch));
-}
-
-Status EngineCore::TryBuildHimor(Rng& rng, const Budget& budget) {
-  std::optional<CoverageSketchIndex> sketch;
-  Result<HimorIndex> built =
-      options_.component_scoped
-          ? HimorIndex::BuildScoped(model_, base_, lca_, options_.theta,
-                                    rng.Next(), options_.himor_max_rank,
-                                    budget, comp_size_of_node_,
-                                    options_.sketch_bits, &sketch)
-          : HimorIndex::Build(model_, base_, lca_, options_.theta, rng,
-                              options_.himor_max_rank, budget,
-                              options_.sketch_bits, &sketch);
+  Result<HimorIndex> built = HimorIndex::Build(
+      model_, base_, lca_, options_.theta, seed, options_.himor_max_rank,
+      budget, options_.component_scoped ? &comp_size_of_node_ : nullptr,
+      num_threads, options_.sketch_bits, &sketch);
   if (!built.ok()) return built.status();
   himor_ = std::move(built).value();
   AdoptSketch(std::move(sketch));
@@ -1139,25 +1078,6 @@ void EngineCore::MarkIndexAbsent() {
   COD_CHECK(!himor_.has_value());  // an existing index is never discarded
   sketch_.reset();  // sketch without index would be unreachable anyway
   index_absent_degraded_ = true;
-}
-
-Status EngineCore::TryBuildHimorParallel(uint64_t seed, size_t num_threads,
-                                         const Budget& budget) {
-  std::optional<CoverageSketchIndex> sketch;
-  Result<HimorIndex> built =
-      options_.component_scoped
-          ? HimorIndex::BuildScoped(model_, base_, lca_, options_.theta,
-                                    seed, options_.himor_max_rank, budget,
-                                    comp_size_of_node_, options_.sketch_bits,
-                                    &sketch)
-          : HimorIndex::BuildParallel(model_, base_, lca_, options_.theta,
-                                      seed, options_.himor_max_rank,
-                                      num_threads, budget,
-                                      options_.sketch_bits, &sketch);
-  if (!built.ok()) return built.status();
-  himor_ = std::move(built).value();
-  AdoptSketch(std::move(sketch));
-  return Status::Ok();
 }
 
 }  // namespace cod

@@ -28,10 +28,10 @@
 // built an index still fail fast (programming error), so the degraded mode
 // is explicit, never accidental.
 //
-// Construction-time mutation: BuildHimor / BuildHimorParallel / LoadHimor
-// are setup steps. They must happen-before the core is shared across
-// threads (publish the shared_ptr only after setup), exactly like filling a
-// const object before handing out references.
+// Construction-time mutation: TryBuildHimor / TryBuildHimorDelta /
+// MarkIndexAbsent are setup steps. They must happen-before the core is
+// shared across threads (publish the shared_ptr only after setup), exactly
+// like filling a const object before handing out references.
 //
 // Ownership: the owning constructor shares the graph/attribute table (the
 // serving path — epochs share the attribute table, the graph dies with the
@@ -85,8 +85,8 @@ struct EngineOptions {
   // query is answered as if q's connected component were the whole graph.
   // Ancestor chains are truncated at the component subtree, LORE depth
   // weights are measured relative to it, and the HIMOR index is built with
-  // per-source RNG streams and component-pure materialization
-  // (HimorIndex::BuildScoped). The payoff: a query's answer is a pure
+  // component-pure materialization (HimorIndex::Build's
+  // comp_size_of_node). The payoff: a query's answer is a pure
   // function of its component's subgraph — bit-identical no matter which
   // other components share the engine — which is what makes sharded
   // scatter/gather results independent of the shard count. On a connected
@@ -295,9 +295,9 @@ class EngineCore {
   // Query({kCodUIndexed, ...}, ws) to get both.
   CodResult QueryCodUIndexed(NodeId q, uint32_t k) const;
 
-  // Require himor() (BuildHimor / LoadHimor during setup) — unless the core
-  // was published index-absent (MarkIndexAbsent), in which case CODL serves
-  // the CODL- computation tagged degraded.
+  // Require himor() (TryBuildHimor during setup, or FromPrebuilt) — unless
+  // the core was published index-absent (MarkIndexAbsent), in which case
+  // CODL serves the CODL- computation tagged degraded.
   CodResult QueryCodL(NodeId q, AttributeId attr, uint32_t k,
                       QueryWorkspace& ws) const;
   CodResult QueryCodL(NodeId q, std::span<const AttributeId> attrs,
@@ -317,36 +317,32 @@ class EngineCore {
                           QueryWorkspace& ws) const;
 
   // ---- Setup-time mutators: must happen-before sharing the core. ----
-  void BuildHimor(Rng& rng);
-  // Multi-threaded variant; the result depends on `seed` only, never on the
-  // thread count (see HimorIndex::BuildParallel).
-  void BuildHimorParallel(uint64_t seed, size_t num_threads = 0);
-  // Fallible forms for the serving stack: a build that runs out of budget
-  // (or hits the "himor/build" failpoint) returns the error and leaves any
-  // previously built index untouched.
-  Status TryBuildHimor(Rng& rng, const Budget& budget);
-  Status TryBuildHimorParallel(uint64_t seed, size_t num_threads,
-                               const Budget& budget);
+  // Builds (or rebuilds) the HIMOR index over the base hierarchy, plus the
+  // coverage sketch when options().sketch_bits > 0. The result depends on
+  // `seed` only, never on `num_threads` (see HimorIndex::Build); honors
+  // options_.component_scoped. A build that runs out of budget (or hits the
+  // "himor/build" failpoint) returns the error and leaves any previously
+  // built index untouched.
+  Status TryBuildHimor(uint64_t seed, const Budget& budget = {},
+                       size_t num_threads = 1);
   // Incremental build on the counter-seeded per-sample schedule (see
   // HimorIndex::BuildDelta): with a valid `prev` cache plus the dirty-vertex
   // bitmap, only samples touching dirty vertices are redrawn; with
   // prev == nullptr this IS the delta-mode cold build. `next` (required)
   // receives the carry state for the following epoch; on success the build
   // consumes prev's bucket-row carry (moved into next). Honors
-  // options_.component_scoped like the other builders.
+  // options_.component_scoped like TryBuildHimor.
   Status TryBuildHimorDelta(uint64_t seed, const Budget& budget,
                             const std::vector<char>* dirty,
                             HimorSampleCache* prev,
                             HimorSampleCache* next, HimorDeltaStats* stats);
-  Status LoadHimor(const std::string& path);
   // Declares that this core intentionally serves WITHOUT a HIMOR index (the
   // budgeted build failed and the epoch is being published degraded). CODL
   // then answers via the CODL- computation (local recluster + spliced
   // global ancestors + compressed evaluation) and kCodUIndexed via sampled
-  // CODU, both tagged degraded. Setup-time mutator, like BuildHimor.
+  // CODU, both tagged degraded. Setup-time mutator, like TryBuildHimor.
   void MarkIndexAbsent();
 
-  Status SaveHimor(const std::string& path) const;
   const HimorIndex* himor() const {
     return himor_.has_value() ? &*himor_ : nullptr;
   }

@@ -302,9 +302,9 @@ HimorIndex::BucketTable HimorIndex::BuildBuckets(
 // Stage 2 core, templated over the bucket-item source: `items_of(c, emit)`
 // must call emit(node, count) once per aggregated bucket item of community
 // c (non-leaf communities only; emission order within a bucket is free —
-// `updated` is re-sorted and the accumulators commute). The batch builders
-// feed it a BucketTable; the delta builder feeds it the fingerprint-keyed
-// rows it maintains incrementally.
+// `updated` is re-sorted and the accumulators commute). Build (and the delta
+// builder's dense path) feed it a BucketTable; the delta builder's sparse
+// path feeds it the fingerprint-keyed rows it maintains incrementally.
 template <typename ItemsOf>
 HimorIndex HimorIndex::BuildFromItems(
     const Dendrogram& dendrogram, uint32_t max_rank, ItemsOf&& items_of,
@@ -429,7 +429,7 @@ HimorIndex HimorIndex::BuildFromItems(
   return index;
 }
 
-// Stage 2 entry point shared by the batch builders.
+// Stage 2 over a BucketTable.
 HimorIndex HimorIndex::BuildFromBuckets(
     const Dendrogram& dendrogram, uint32_t max_rank,
     const BucketTable& buckets,
@@ -446,117 +446,19 @@ HimorIndex HimorIndex::BuildFromBuckets(
       comp_size_of_node, sketch);
 }
 
-HimorIndex HimorIndex::Build(const DiffusionModel& model,
-                             const Dendrogram& dendrogram, const LcaIndex& lca,
-                             uint32_t theta, Rng& rng, uint32_t max_rank) {
-  Result<HimorIndex> built =
-      Build(model, dendrogram, lca, theta, rng, max_rank, Budget{});
-  COD_CHECK(built.ok());  // infinite budget: only an armed failpoint fails
-  return std::move(built).value();
-}
-
-HimorIndex HimorIndex::BuildParallel(const DiffusionModel& model,
-                                     const Dendrogram& dendrogram,
-                                     const LcaIndex& lca, uint32_t theta,
-                                     uint64_t seed, uint32_t max_rank,
-                                     size_t num_threads) {
-  Result<HimorIndex> built = BuildParallel(model, dendrogram, lca, theta,
-                                           seed, max_rank, num_threads,
-                                           Budget{});
-  COD_CHECK(built.ok());
-  return std::move(built).value();
-}
-
-Result<HimorIndex> HimorIndex::Build(const DiffusionModel& model,
-                                     const Dendrogram& dendrogram,
-                                     const LcaIndex& lca, uint32_t theta,
-                                     Rng& rng, uint32_t max_rank,
-                                     const Budget& budget,
-                                     uint32_t sketch_bits,
-                                     std::optional<CoverageSketchIndex>*
-                                         sketch) {
-  COD_CHECK(theta > 0);
-  COD_CHECK(max_rank > 0);
-  COD_CHECK_EQ(model.graph().NumNodes(), dendrogram.NumLeaves());
-  if (sketch != nullptr) sketch->reset();
-  if (COD_FAILPOINT("himor/build")) {
-    return Status::IoError("failpoint himor/build armed");
-  }
-
-  // The entire build runs off one schedule seed — the only draw taken from
-  // the caller's rng.
-  const uint64_t seed = rng.Next();
-  TreeHfsSampler worker(model, dendrogram, lca);
-  std::vector<std::pair<CommunityId, NodeId>> pairs;
-  const StatusCode code = worker.ProcessSources(
-      0, static_cast<NodeId>(model.graph().NumNodes()), theta, seed, &pairs,
-      budget, /*abort_code=*/nullptr);
-  if (code != StatusCode::kOk) return BudgetStatus(code, "HIMOR build");
-  std::optional<CoverageSketchBuilder> sb =
-      MaybeSketchBuilder(dendrogram, seed, theta, max_rank, sketch_bits,
-                         sketch);
-  const BucketTable buckets =
-      BuildBuckets(pairs, dendrogram.NumVertices(), dendrogram.NumLeaves());
-  HimorIndex index = BuildFromBuckets(dendrogram, max_rank, buckets,
-                                      /*comp_size_of_node=*/nullptr,
-                                      sb ? &*sb : nullptr);
-  if (sb) *sketch = sb->Finish();
-  return index;
-}
-
-Result<HimorIndex> HimorIndex::BuildScoped(
+Result<HimorIndex> HimorIndex::Build(
     const DiffusionModel& model, const Dendrogram& dendrogram,
     const LcaIndex& lca, uint32_t theta, uint64_t seed, uint32_t max_rank,
-    const Budget& budget, const std::vector<uint32_t>& comp_size_of_node,
-    uint32_t sketch_bits, std::optional<CoverageSketchIndex>* sketch) {
+    const Budget& budget, const std::vector<uint32_t>* comp_size_of_node,
+    size_t num_threads, uint32_t sketch_bits,
+    std::optional<CoverageSketchIndex>* sketch) {
   COD_CHECK(theta > 0);
   COD_CHECK(max_rank > 0);
   const size_t n = model.graph().NumNodes();
   COD_CHECK_EQ(n, dendrogram.NumLeaves());
-  COD_CHECK_EQ(n, comp_size_of_node.size());
-  if (sketch != nullptr) sketch->reset();
-  if (COD_FAILPOINT("himor/build")) {
-    return Status::IoError("failpoint himor/build armed");
+  if (comp_size_of_node != nullptr) {
+    COD_CHECK_EQ(n, comp_size_of_node->size());
   }
-
-  // The source-keyed schedule already gives every source its private
-  // sample streams — a source's samples never depend on how many RR graphs
-  // other sources (possibly in other components) drew before it.
-  // ProcessSources polls the budget once per source, the serial builder's
-  // check cadence.
-  TreeHfsSampler worker(model, dendrogram, lca);
-  std::vector<std::pair<CommunityId, NodeId>> pairs;
-  const StatusCode code =
-      worker.ProcessSources(0, static_cast<NodeId>(n), theta, seed, &pairs,
-                            budget, /*abort_code=*/nullptr);
-  if (code != StatusCode::kOk) {
-    return BudgetStatus(code, "HIMOR scoped build");
-  }
-  std::optional<CoverageSketchBuilder> sb =
-      MaybeSketchBuilder(dendrogram, seed, theta, max_rank, sketch_bits,
-                         sketch);
-  const BucketTable buckets = BuildBuckets(pairs, dendrogram.NumVertices(), n);
-  HimorIndex index = BuildFromBuckets(dendrogram, max_rank, buckets,
-                                      &comp_size_of_node,
-                                      sb ? &*sb : nullptr);
-  if (sb) *sketch = sb->Finish();
-  return index;
-}
-
-Result<HimorIndex> HimorIndex::BuildParallel(const DiffusionModel& model,
-                                             const Dendrogram& dendrogram,
-                                             const LcaIndex& lca,
-                                             uint32_t theta, uint64_t seed,
-                                             uint32_t max_rank,
-                                             size_t num_threads,
-                                             const Budget& budget,
-                                             uint32_t sketch_bits,
-                                             std::optional<CoverageSketchIndex>*
-                                                 sketch) {
-  COD_CHECK(theta > 0);
-  COD_CHECK(max_rank > 0);
-  const size_t n = model.graph().NumNodes();
-  COD_CHECK_EQ(n, dendrogram.NumLeaves());
   if (sketch != nullptr) sketch->reset();
   if (COD_FAILPOINT("himor/build")) {
     return Status::IoError("failpoint himor/build armed");
@@ -565,25 +467,28 @@ Result<HimorIndex> HimorIndex::BuildParallel(const DiffusionModel& model,
   // Fixed batching (independent of thread count) over the source-keyed
   // sample schedule makes the result a pure function of (seed, theta):
   // running with 1 or 16 threads produces the identical index, and it is
-  // byte-identical to the serial Build at the same schedule seed.
+  // byte-identical to a cold BuildDelta at the same seed.
   const size_t num_batches = std::min<size_t>(64, n);
   std::vector<std::vector<std::pair<CommunityId, NodeId>>> batch_pairs(
       num_batches);
   std::atomic<int> abort_code{0};
-  {
+  const auto run_batch = [&](size_t b) {
+    TreeHfsSampler worker(model, dendrogram, lca);
+    const NodeId begin = static_cast<NodeId>(b * n / num_batches);
+    const NodeId end = static_cast<NodeId>((b + 1) * n / num_batches);
+    worker.ProcessSources(begin, end, theta, seed, &batch_pairs[b], budget,
+                          &abort_code);
+  };
+  if (num_threads == 1) {
+    for (size_t b = 0; b < num_batches; ++b) run_batch(b);
+  } else {
     // A build-local scheduler: index construction owns its threads for the
     // duration (callers embedding the build in a serving process submit the
     // whole build as one rebuild-priority task on the serving scheduler).
     TaskScheduler scheduler(num_threads);
     TaskGroup group(scheduler);
     for (size_t b = 0; b < num_batches; ++b) {
-      scheduler.Submit(TaskPriority::kRebuild, group, [&, b] {
-        TreeHfsSampler worker(model, dendrogram, lca);
-        const NodeId begin = static_cast<NodeId>(b * n / num_batches);
-        const NodeId end = static_cast<NodeId>((b + 1) * n / num_batches);
-        worker.ProcessSources(begin, end, theta, seed, &batch_pairs[b],
-                              budget, &abort_code);
-      });
+      scheduler.Submit(TaskPriority::kRebuild, group, [&, b] { run_batch(b); });
     }
     group.Wait();
   }
@@ -591,8 +496,7 @@ Result<HimorIndex> HimorIndex::BuildParallel(const DiffusionModel& model,
   if (aborted != 0) {
     // Budget failures are all-or-nothing: partial batches are discarded so a
     // successful build is always the same deterministic index.
-    return BudgetStatus(static_cast<StatusCode>(aborted),
-                        "HIMOR parallel build");
+    return BudgetStatus(static_cast<StatusCode>(aborted), "HIMOR build");
   }
   std::vector<std::pair<CommunityId, NodeId>> pairs;
   {
@@ -608,8 +512,7 @@ Result<HimorIndex> HimorIndex::BuildParallel(const DiffusionModel& model,
                          sketch);
   const BucketTable buckets = BuildBuckets(pairs, dendrogram.NumVertices(), n);
   HimorIndex index = BuildFromBuckets(dendrogram, max_rank, buckets,
-                                      /*comp_size_of_node=*/nullptr,
-                                      sb ? &*sb : nullptr);
+                                      comp_size_of_node, sb ? &*sb : nullptr);
   if (sb) *sketch = sb->Finish();
   return index;
 }
@@ -1200,13 +1103,6 @@ Result<HimorIndex> HimorIndex::BuildDelta(
   return index;
 }
 
-
-namespace {
-constexpr uint32_t kHimorMagic = 0x434F4449;  // "CODI"
-// v2: CRC32C envelope (WriteChecksummedFile); v1 (no checksum) dropped.
-constexpr uint32_t kHimorVersion = 2;
-}  // namespace
-
 void HimorIndex::SerializeTo(BinaryBufferWriter& out) const {
   out.WritePod(max_rank_);
   out.WriteVector(offsets_);
@@ -1235,26 +1131,6 @@ Result<HimorIndex> HimorIndex::Deserialize(BinarySpanReader& in) {
       in.Fail("inconsistent HIMOR offsets");
       return in.status();
     }
-  }
-  return index;
-}
-
-Status HimorIndex::Save(const std::string& path) const {
-  BinaryBufferWriter payload;
-  SerializeTo(payload);
-  return WriteChecksummedFile(path, kHimorMagic, kHimorVersion,
-                              payload.bytes());
-}
-
-Result<HimorIndex> HimorIndex::Load(const std::string& path) {
-  Result<std::string> payload =
-      ReadChecksummedFile(path, kHimorMagic, kHimorVersion, "HIMOR index");
-  if (!payload.ok()) return payload.status();
-  BinarySpanReader reader(*payload, path);
-  Result<HimorIndex> index = Deserialize(reader);
-  if (!index.ok()) return index.status();
-  if (!reader.exhausted()) {
-    return Status::InvalidArgument(path + ": trailing bytes after index");
   }
   return index;
 }

@@ -16,13 +16,13 @@
 // sorted runs, producing every community's full ranking in
 // O(Theta*omega + |R| log |V| + sum_v dep(v)).
 //
-// Every builder draws sample (source, j) from the counter-seeded schedule
+// Both builders draw sample (source, j) from the counter-seeded schedule
 // RrSampleSeed(seed, source * theta + j) — independent of epoch, thread
-// placement, and every other sample. That one schedule is what makes the
-// parallel/scoped/delta builders bit-compatible, lets BuildDelta reuse any
-// subset of samples byte-identically, and lets the coverage-sketch index
-// (influence/coverage_sketch.h) prove query-time pruning bounds against the
-// very pool a pinned evaluation will draw.
+// placement, and every other sample. That one schedule is what makes Build
+// thread-count independent and byte-identical to a cold BuildDelta, lets
+// BuildDelta reuse any subset of samples byte-identically, and lets the
+// coverage-sketch index (influence/coverage_sketch.h) prove query-time
+// pruning bounds against the very pool a pinned evaluation will draw.
 //
 // Incremental construction (BuildDelta, DESIGN.md Sec. 15): under a small
 // edge delta, most RR graphs and most of their hierarchical-first tags are
@@ -36,7 +36,6 @@
 
 #include <optional>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -123,7 +122,8 @@ class HimorIndex {
 
   // Builds the index over `dendrogram` (which, with `model`'s graph and
   // `lca`, must outlive the returned index's *construction* only — the index
-  // itself owns its data). `theta` RR graphs are sampled per node.
+  // itself owns its data). `theta` RR graphs are sampled per node, sample
+  // (s, j) from RrSampleSeed(seed, s * theta + j).
   //
   // `max_rank` implements the paper's "selected communities": only
   // (community, rank) pairs with rank < max_rank are materialized, since a
@@ -131,89 +131,52 @@ class HimorIndex {
   // ancestor means rank >= max_rank > k - 1). This keeps the index size near
   // the input data size even on skewed hierarchies; pass
   // std::numeric_limits<uint32_t>::max() to materialize every ancestor.
-  static HimorIndex Build(const DiffusionModel& model,
-                          const Dendrogram& dendrogram, const LcaIndex& lca,
-                          uint32_t theta, Rng& rng, uint32_t max_rank = 16);
-
-  // Multi-threaded construction. Sources are split into a FIXED number of
-  // batches, each with its own seeded RNG stream, so the produced index is a
-  // pure function of (seed, theta) — identical for any thread count
-  // (num_threads == 0 uses the hardware concurrency).
-  static HimorIndex BuildParallel(const DiffusionModel& model,
-                                  const Dendrogram& dendrogram,
-                                  const LcaIndex& lca, uint32_t theta,
-                                  uint64_t seed, uint32_t max_rank = 16,
-                                  size_t num_threads = 0);
-
-  // Budget-aware builders, used by the serving stack (see
-  // serving/dynamic_service.h): an exhausted budget or an armed "himor/build"
-  // failpoint returns kTimeout / kCancelled / kIoError instead of running
-  // unbounded. The budget is polled once per source node (the per-source RR
-  // batch is the check interval); parallel workers share an abort flag, so
-  // one worker's budget miss stops the others within a source. On failure
-  // nothing is returned — either the full deterministic index or an error,
-  // never a partial index. The unbudgeted builders above forward here with
-  // an infinite budget and CHECK success, so they also observe the
-  // failpoint (arm it only around code using these Result forms).
   //
-  // Every budgeted builder optionally co-builds the coverage-sketch index:
-  // with sketch_bits > 0 and `sketch` non-null, *sketch receives a
+  // Sources are split into a FIXED number of batches (independent of
+  // `num_threads`; 0 = hardware concurrency, 1 = run on the calling
+  // thread), so the index is a pure function of (seed, theta) for any
+  // thread count.
+  //
+  // `comp_size_of_node` (v's connected-component size, from
+  // graph::ConnectedComponents; nullptr = materialize everything, the mono
+  // behavior) enables component-scoped materialization for sharded serving
+  // (EngineOptions::component_scoped): only "pure" communities (LeafCount
+  // <= the size of their members' connected component, i.e. subtrees that
+  // never cross a component boundary) enter the per-node entry lists. The
+  // impure merge vertices a dendrogram over a disconnected graph stacks on
+  // top carry no influence signal and would differ per shard layout. With
+  // the source-keyed schedule, every within-component rank is then a pure
+  // function of (seed, theta, its own component's subgraph). On a connected
+  // graph every community is pure and the entry set matches the mono build.
+  //
+  // Budget: an exhausted budget or an armed "himor/build" failpoint returns
+  // kTimeout / kCancelled / kIoError instead of running unbounded. The
+  // budget is polled once per source node (the per-source RR batch is the
+  // check interval); workers share an abort flag, so one worker's budget
+  // miss stops the others within a source. On failure nothing is returned —
+  // either the full deterministic index or an error, never a partial index.
+  //
+  // With sketch_bits > 0 and `sketch` non-null, *sketch receives a
   // CoverageSketchIndex built from the very same RR samples and bucket
-  // runs, at seed = the schedule seed the samples were drawn from. An armed
-  // "influence/sketch_build" failpoint (or sketch_bits == 0) leaves *sketch
-  // empty while the index itself still builds — sketch loss degrades
-  // pruning, never correctness. Build(rng) spends exactly one rng.Next()
-  // draw on the schedule seed.
-  static Result<HimorIndex> Build(const DiffusionModel& model,
-                                  const Dendrogram& dendrogram,
-                                  const LcaIndex& lca, uint32_t theta,
-                                  Rng& rng, uint32_t max_rank,
-                                  const Budget& budget,
-                                  uint32_t sketch_bits = 0,
-                                  std::optional<CoverageSketchIndex>* sketch =
-                                      nullptr);
-  static Result<HimorIndex> BuildParallel(const DiffusionModel& model,
-                                          const Dendrogram& dendrogram,
-                                          const LcaIndex& lca, uint32_t theta,
-                                          uint64_t seed, uint32_t max_rank,
-                                          size_t num_threads,
-                                          const Budget& budget,
-                                          uint32_t sketch_bits = 0,
-                                          std::optional<CoverageSketchIndex>*
-                                              sketch = nullptr);
-
-  // Component-scoped builder (sharded serving; see
-  // EngineOptions::component_scoped). Two differences from Build:
-  //
-  //  1. Samples come from the shared source-keyed schedule
-  //     RrSampleSeed(seed, source * theta + j), so a node's samples — and
-  //     therefore every within-component rank — are a pure function of
-  //     (seed, theta, its own component's subgraph), independent of which
-  //     other components share the shard graph.
-  //  2. Only "pure" communities (LeafCount <= the size of their members'
-  //     connected component, i.e. subtrees that never cross a component
-  //     boundary) are materialized into the per-node entry lists. The
-  //     impure merge vertices a dendrogram over a disconnected graph stacks
-  //     on top carry no influence signal and would differ per shard layout.
-  //
-  // `comp_size_of_node[v]` is v's connected-component size (from
-  // graph::ConnectedComponents). On a connected graph every community is
-  // pure and the entry set matches Build at the same schedule seed.
-  static Result<HimorIndex> BuildScoped(
+  // runs, at seed = `seed`. An armed "influence/sketch_build" failpoint (or
+  // sketch_bits == 0) leaves *sketch empty while the index itself still
+  // builds — sketch loss degrades pruning, never correctness.
+  static Result<HimorIndex> Build(
       const DiffusionModel& model, const Dendrogram& dendrogram,
-      const LcaIndex& lca, uint32_t theta, uint64_t seed, uint32_t max_rank,
-      const Budget& budget, const std::vector<uint32_t>& comp_size_of_node,
-      uint32_t sketch_bits = 0,
+      const LcaIndex& lca, uint32_t theta, uint64_t seed,
+      uint32_t max_rank = 16, const Budget& budget = {},
+      const std::vector<uint32_t>* comp_size_of_node = nullptr,
+      size_t num_threads = 1, uint32_t sketch_bits = 0,
       std::optional<CoverageSketchIndex>* sketch = nullptr);
 
   // Incremental builder (the delta-rebuild serving mode). Samples on the
-  // same counter-seeded schedule RrSampleSeed(seed, s * theta + j) as every
-  // other builder — delta mode still joins the service options fingerprint
+  // same counter-seeded schedule RrSampleSeed(seed, s * theta + j) as
+  // Build — delta mode still joins the service options fingerprint
   // because the serving layer derives the SEED VALUE differently per epoch
   // (seed + ticket vs a ticket-seeded rng draw; see
   // ServiceOptions::delta_rebuild). With prev == nullptr (or an unusable
-  // cache) every sample
-  // is drawn fresh: the cold build. With a valid `prev` plus the `dirty`
+  // cache) every sample is drawn fresh: the cold build, byte-identical to
+  // Build at the same seed. With a valid `prev` plus the `dirty`
   // bitmap of vertices incident to any edge changed since prev's epoch,
   // each sample takes the cheapest sound tier:
   //
@@ -234,8 +197,8 @@ class HimorIndex {
   // consumes prev->rows (the bucket carry is moved, not copied — prev is
   // retired by the caller's double-buffer flip anyway); a failed build
   // leaves `prev` fully reusable.
-  // `comp_size_of_node` enables BuildScoped's component-pure
-  // materialization (nullptr = materialize everything, the mono behavior).
+  // `comp_size_of_node` enables Build's component-pure materialization
+  // (nullptr = materialize everything, the mono behavior).
   static Result<HimorIndex> BuildDelta(
       const DiffusionModel& model, const Dendrogram& dendrogram,
       const LcaIndex& lca, uint32_t theta, uint64_t seed, uint32_t max_rank,
@@ -268,16 +231,11 @@ class HimorIndex {
     return entries_.size() * sizeof(Entry) + offsets_.size() * sizeof(size_t);
   }
 
-  // Binary persistence; a loaded index is only valid together with the
-  // dendrogram it was built over (persist that with SaveDendrogram). The
-  // file format carries a CRC32C envelope, so corruption (bit flips,
-  // truncation) fails the load cleanly instead of producing a wrong index.
-  Status Save(const std::string& path) const;
-  static Result<HimorIndex> Load(const std::string& path);
-
-  // Buffer forms of the payload codec, for embedding into checksummed
-  // containers (storage/epoch_snapshot.h). Deserialize performs the same
-  // structural validation as Load.
+  // Payload codec, embedded in the checksummed epoch snapshot container
+  // (storage/epoch_snapshot.h). A decoded index is only valid together with
+  // the dendrogram it was built over, which the snapshot carries too.
+  // Deserialize validates structure: corrupt bytes produce a Status, never
+  // an index with out-of-range offsets.
   void SerializeTo(BinaryBufferWriter& out) const;
   static Result<HimorIndex> Deserialize(BinarySpanReader& in);
 
@@ -297,7 +255,7 @@ class HimorIndex {
       size_t num_vertices, size_t num_nodes);
 
   // Stage 2 (bottom-up bucket merging), shared by all builders. When
-  // `comp_size_of_node` is non-null, only pure communities (see BuildScoped)
+  // `comp_size_of_node` is non-null, only pure communities (see Build)
   // are materialized into per-node entries. `items_of(c, emit)` supplies the
   // aggregated bucket items of non-leaf community c in any order;
   // BuildFromBuckets adapts a BucketTable onto it, the delta builder its

@@ -335,12 +335,12 @@ Result<DynamicCodService::EpochBuild> DynamicCodService::BuildEpochCore(
     return BuildEpochCoreDelta(std::move(graph));
   }
   auto core = std::make_shared<EngineCore>(graph, attrs_, options_.engine);
-  // Per-ticket deterministic sampling stream (failed tickets are consumed).
-  Rng rng(options_.seed + build_index);
+  // Per-ticket deterministic schedule seed (failed tickets are consumed).
   const Budget budget{options_.rebuild_budget_seconds > 0.0
                           ? Deadline::After(options_.rebuild_budget_seconds)
                           : Deadline::Infinite()};
-  Status himor = core->TryBuildHimor(rng, budget);
+  Status himor =
+      core->TryBuildHimor(Rng(options_.seed + build_index).Next(), budget);
   if (!himor.ok()) {
     if (!options_.publish_without_index) return himor;
     // Degraded publication: the graph and hierarchy built fine, only the

@@ -83,7 +83,8 @@
 
 #include "common/metrics.h"
 #include "common/task_scheduler.h"
-#include "core/cod_engine.h"
+#include "core/engine_core.h"
+#include "core/query_batch.h"
 #include "serving/service_interface.h"
 
 namespace cod {

@@ -7,7 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/cod_engine.h"
+#include "core/engine_core.h"
+#include "core/query_workspace.h"
 #include "eval/datasets.h"
 #include "eval/query_gen.h"
 
@@ -20,16 +21,16 @@ class DatasetSweepTest : public ::testing::TestWithParam<const char*> {
     Result<AttributedGraph> data = MakeDataset(GetParam());
     ASSERT_TRUE(data.ok()) << data.status().ToString();
     data_ = std::move(data).value();
-    engine_ = std::make_unique<CodEngine>(data_.graph, data_.attributes,
-                                          EngineOptions{});
+    engine_ = std::make_unique<EngineCore>(data_.graph, data_.attributes,
+                                           EngineOptions{});
     Rng rng(11);
-    engine_->BuildHimor(rng);
+    ASSERT_TRUE(engine_->TryBuildHimor(rng.Next()).ok());
     Rng query_rng(13);
     queries_ = GenerateQueries(data_.attributes, 6, query_rng);
   }
 
   AttributedGraph data_;
-  std::unique_ptr<CodEngine> engine_;
+  std::unique_ptr<EngineCore> engine_;
   std::vector<Query> queries_;
 };
 
@@ -90,7 +91,7 @@ TEST_P(DatasetSweepTest, HimorEntriesLieOnEachNodesPath) {
 }
 
 TEST_P(DatasetSweepTest, QueriesReturnConsistentCommunities) {
-  QueryWorkspace ws = engine_->MakeWorkspace(17);
+  QueryWorkspace ws(*engine_, 17);
   for (const Query& q : queries_) {
     const CodResult r = engine_->QueryCodL(q.node, q.attribute, 5, ws);
     if (!r.found) continue;

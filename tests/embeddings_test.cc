@@ -4,7 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/cod_engine.h"
+#include "core/engine_core.h"
+#include "core/query_workspace.h"
 #include "core/global_recluster.h"
 #include "graph/generators.h"
 #include "tests/test_util.h"
@@ -121,10 +122,10 @@ TEST(EmbeddingTransformTest, EngineEndToEnd) {
   EngineOptions options;
   options.transform.transform = AttributeTransform::kEmbeddingCosine;
   options.transform.embeddings = &embeddings;
-  CodEngine engine(gen.graph, attrs, options);
+  EngineCore engine(gen.graph, attrs, options);
   Rng query_rng(4);
-  engine.BuildHimor(query_rng);
-  QueryWorkspace ws = engine.MakeWorkspace(0);
+  ASSERT_TRUE(engine.TryBuildHimor(query_rng.Next()).ok());
+  QueryWorkspace ws(engine, 0);
   ws.rng() = query_rng;
   int found = 0;
   for (NodeId q = 0; q < 15; ++q) {

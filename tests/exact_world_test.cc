@@ -206,7 +206,8 @@ TEST(ExactWorldTest, HimorRanksMatchEnumeration) {
   const Dendrogram d = std::move(db).Build();
   const LcaIndex lca(d);
   Rng rng(6);
-  const HimorIndex index = HimorIndex::Build(m, d, lca, /*theta=*/4000, rng);
+  const HimorIndex index =
+      HimorIndex::Build(m, d, lca, /*theta=*/4000, rng.Next()).value();
 
   for (NodeId q = 0; q < 6; ++q) {
     for (const auto& entry : index.RanksOf(q)) {

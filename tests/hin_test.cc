@@ -5,7 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "core/cod_engine.h"
+#include "core/engine_core.h"
+#include "core/query_workspace.h"
 #include "influence/cascade_model.h"
 
 namespace cod {
@@ -214,10 +215,10 @@ TEST(HinIntegrationTest, ProjectionFeedsWeightedCodPipeline) {
     }
   }
 
-  CodEngine engine(projection->graph, attrs, {});
+  EngineCore engine(projection->graph, attrs, {});
   Rng query_rng(2);
-  engine.BuildHimor(query_rng);
-  QueryWorkspace ws = engine.MakeWorkspace(0);
+  ASSERT_TRUE(engine.TryBuildHimor(query_rng.Next()).ok());
+  QueryWorkspace ws(engine, 0);
   ws.rng() = query_rng;
   int found = 0;
   for (NodeId q = 0; q < 20; ++q) {

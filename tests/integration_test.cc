@@ -9,7 +9,8 @@
 #include "baselines/atc.h"
 #include "baselines/kcore.h"
 #include "baselines/ktruss.h"
-#include "core/cod_engine.h"
+#include "core/engine_core.h"
+#include "core/query_workspace.h"
 #include "eval/datasets.h"
 #include "eval/metrics.h"
 #include "eval/query_gen.h"
@@ -33,9 +34,9 @@ class PipelineTest : public ::testing::Test {
         AssignCorrelatedAttributes(gen.block, 6, 0.8, 0.1, rng));
     EngineOptions options;
     options.theta = 30;  // extra samples for stabler ranks in assertions
-    engine_ = new CodEngine(*graph_, *attrs_, options);
+    engine_ = new EngineCore(*graph_, *attrs_, options);
     Rng build_rng(78);
-    engine_->BuildHimor(build_rng);
+    ASSERT_TRUE(engine_->TryBuildHimor(build_rng.Next()).ok());
   }
   static void TearDownTestSuite() {
     delete engine_;
@@ -48,15 +49,15 @@ class PipelineTest : public ::testing::Test {
 
   static Graph* graph_;
   static AttributeTable* attrs_;
-  static CodEngine* engine_;
+  static EngineCore* engine_;
 };
 
 Graph* PipelineTest::graph_ = nullptr;
 AttributeTable* PipelineTest::attrs_ = nullptr;
-CodEngine* PipelineTest::engine_ = nullptr;
+EngineCore* PipelineTest::engine_ = nullptr;
 
 TEST_F(PipelineTest, AllVariantsProduceValidCommunities) {
-  QueryWorkspace ws = engine_->MakeWorkspace(1);
+  QueryWorkspace ws(*engine_, 1);
   Rng query_rng(2);
   const std::vector<Query> queries = GenerateQueries(*attrs_, 12, query_rng);
   constexpr CodVariant kVariants[] = {CodVariant::kCodU, CodVariant::kCodR,
@@ -88,7 +89,7 @@ TEST_F(PipelineTest, ClaimedRanksSurviveVerification) {
   // confirm the query is at least *near* the top-k (estimators are noisy;
   // the paper's Fig. 8 reports precision well below 1.0 for theta = 10).
   Rng rng(3);  // feeds the Monte-Carlo verifier
-  QueryWorkspace ws = engine_->MakeWorkspace(3);
+  QueryWorkspace ws(*engine_, 3);
   Rng query_rng(4);
   const std::vector<Query> queries = GenerateQueries(*attrs_, 8, query_rng);
   int verified = 0;
@@ -131,7 +132,7 @@ TEST_F(PipelineTest, BaselinesReturnAttributeCoherentCommunities) {
 TEST_F(PipelineTest, HierarchicalVariantsFindLargerCommunitiesThanCac) {
   // The headline effectiveness claim (Fig. 7 a-f): hierarchical COD methods
   // return larger characteristic communities than truss-based search.
-  QueryWorkspace ws = engine_->MakeWorkspace(6);
+  QueryWorkspace ws(*engine_, 6);
   Rng query_rng(7);
   const std::vector<Query> queries = GenerateQueries(*attrs_, 15, query_rng);
   double codl_total = 0.0;
@@ -147,10 +148,10 @@ TEST_F(PipelineTest, HierarchicalVariantsFindLargerCommunitiesThanCac) {
 TEST(SmallDatasetPipelineTest, CoraSimEndToEnd) {
   Result<AttributedGraph> data = MakeDataset("cora-sim");
   ASSERT_TRUE(data.ok());
-  CodEngine engine(data->graph, data->attributes, {});
+  EngineCore engine(data->graph, data->attributes, {});
   Rng rng(8);
-  engine.BuildHimor(rng);
-  QueryWorkspace ws = engine.MakeWorkspace(0);
+  ASSERT_TRUE(engine.TryBuildHimor(rng.Next()).ok());
+  QueryWorkspace ws(engine, 0);
   ws.rng() = rng;
   Rng query_rng(9);
   const std::vector<Query> queries =

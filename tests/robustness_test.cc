@@ -18,7 +18,7 @@
 #include "common/metrics.h"
 #include "common/random.h"
 #include "common/task_scheduler.h"
-#include "core/cod_engine.h"
+#include "core/engine_core.h"
 #include "core/himor.h"
 #include "core/independent_eval.h"
 #include "core/lore.h"
@@ -78,40 +78,46 @@ TEST_P(FuzzSeedTest, RandomBytesNeverCrashLoaders) {
   Rng rng(GetParam());
   for (int trial = 0; trial < 20; ++trial) {
     const size_t size = rng.UniformInt(512);
-    const std::string path = TempPath("fuzz.bin");
-    WriteBytes(path, RandomBytes(rng, size));
-    // Binary loaders: must return a Status (usually InvalidArgument).
-    { Result<Dendrogram> r = LoadDendrogram(path); (void)r.ok(); }
-    { Result<HimorIndex> r = HimorIndex::Load(path); (void)r.ok(); }
+    const std::string bytes = RandomBytes(rng, size);
+    // Binary decoders: must return a Status (usually InvalidArgument).
+    {
+      BinarySpanReader in(bytes, "fuzz");
+      Result<Dendrogram> r = DeserializeDendrogram(in);
+      (void)r.ok();
+    }
+    {
+      BinarySpanReader in(bytes, "fuzz");
+      Result<HimorIndex> r = HimorIndex::Deserialize(in);
+      (void)r.ok();
+    }
     // Text loaders: random bytes are usually malformed lines.
+    const std::string path = TempPath("fuzz.bin");
+    WriteBytes(path, bytes);
     { Result<Graph> r = LoadEdgeList(path); (void)r.ok(); }
     { Result<AttributeTable> r = LoadAttributes(path, 16); (void)r.ok(); }
   }
 }
 
+// The bare payload codecs carry no checksum (the snapshot container owns
+// integrity), so a flipped byte reaches the structural validation itself.
 TEST_P(FuzzSeedTest, BitFlippedDendrogramsNeverCrash) {
   Rng rng(GetParam() + 100);
   const Graph g = EnsureConnected(ErdosRenyi(30, 90, rng), rng);
   const Dendrogram d = AgglomerativeCluster(g);
-  const std::string path = TempPath("valid_dendrogram.bin");
-  ASSERT_TRUE(SaveDendrogram(d, path).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
+  BinaryBufferWriter out;
+  SerializeDendrogram(d, out);
+  const std::string bytes = out.bytes();
   for (int trial = 0; trial < 30; ++trial) {
     std::string mutated = bytes;
-    // Flip a few random bytes (past the magic so some headers survive).
     const int flips = 1 + static_cast<int>(rng.UniformInt(4));
     for (int f = 0; f < flips; ++f) {
       mutated[rng.UniformInt(mutated.size())] ^=
           static_cast<char>(1 + rng.UniformInt(255));
     }
-    const std::string mpath = TempPath("mutated_dendrogram.bin");
-    WriteBytes(mpath, mutated);
-    Result<Dendrogram> r = LoadDendrogram(mpath);
+    BinarySpanReader in(mutated, "mutated dendrogram");
+    Result<Dendrogram> r = DeserializeDendrogram(in);
     if (r.ok()) {
-      // If it loaded, it must be structurally sound.
+      // If it decoded, it must be structurally sound.
       EXPECT_EQ(r->LeafCount(r->Root()), r->NumLeaves());
     }
   }
@@ -123,13 +129,10 @@ TEST_P(FuzzSeedTest, BitFlippedHimorNeverCrashes) {
   const Dendrogram d = AgglomerativeCluster(g);
   const LcaIndex lca(d);
   const DiffusionModel m = DiffusionModel::WeightedCascadeIc(g);
-  const HimorIndex index = HimorIndex::Build(m, d, lca, 5, rng);
-  const std::string path = TempPath("valid_himor.bin");
-  ASSERT_TRUE(index.Save(path).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
+  const HimorIndex index = HimorIndex::Build(m, d, lca, 5, rng.Next()).value();
+  BinaryBufferWriter out;
+  index.SerializeTo(out);
+  const std::string bytes = out.bytes();
   for (int trial = 0; trial < 30; ++trial) {
     std::string mutated = bytes;
     mutated[rng.UniformInt(mutated.size())] ^=
@@ -138,9 +141,8 @@ TEST_P(FuzzSeedTest, BitFlippedHimorNeverCrashes) {
     if (rng.Bernoulli(0.5)) {
       mutated.resize(rng.UniformInt(mutated.size() + 1));
     }
-    const std::string mpath = TempPath("mutated_himor.bin");
-    WriteBytes(mpath, mutated);
-    Result<HimorIndex> r = HimorIndex::Load(mpath);
+    BinarySpanReader in(mutated, "mutated HIMOR");
+    Result<HimorIndex> r = HimorIndex::Deserialize(in);
     if (r.ok()) {
       EXPECT_GE(r->max_rank(), 1u);
     }
@@ -183,7 +185,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeedTest,
 struct BudgetWorld {
   Graph graph;
   AttributeTable attrs;
-  std::unique_ptr<CodEngine> engine;
+  std::unique_ptr<EngineCore> engine;
 };
 
 BudgetWorld MakeBudgetWorld(uint64_t seed) {
@@ -198,9 +200,9 @@ BudgetWorld MakeBudgetWorld(uint64_t seed) {
   w.attrs = AssignCorrelatedAttributes(gen.block, 4, 0.8, 0.1, rng);
   w.graph = std::move(gen.graph);
   w.engine =
-      std::make_unique<CodEngine>(w.graph, w.attrs, EngineOptions{});
+      std::make_unique<EngineCore>(w.graph, w.attrs, EngineOptions{});
   Rng himor_rng(seed + 1);
-  w.engine->BuildHimor(himor_rng);
+  COD_CHECK(w.engine->TryBuildHimor(himor_rng.Next()).ok());
   return w;
 }
 
@@ -245,7 +247,7 @@ TEST_P(BudgetFuzzTest, HostileBudgetsNeverCrashOrCorrupt) {
         budgets[rng.UniformInt(std::size(budgets))];
     options.allow_degradation = rng.Bernoulli(0.5);
     const std::vector<CodResult> results =
-        w.engine->QueryBatch(specs, pool, /*batch_seed=*/round, options);
+        RunQueryBatch(*w.engine, specs, pool, /*batch_seed=*/round, options);
     ASSERT_EQ(results.size(), specs.size());
     for (size_t i = 0; i < results.size(); ++i) {
       const CodResult& r = results[i];
@@ -301,7 +303,7 @@ TEST_P(RandomFailpointFuzzTest, QueriesRespectTaxonomyUnderRandomFaults) {
       options.allow_degradation = rng.Bernoulli(0.5);
       options.sampling_pool = &sampling_pool;
       const std::vector<CodResult> results =
-          w.engine->QueryBatch(specs, pool, /*batch_seed=*/round, options);
+          RunQueryBatch(*w.engine, specs, pool, /*batch_seed=*/round, options);
       ASSERT_EQ(results.size(), specs.size());
       for (size_t i = 0; i < results.size(); ++i) {
         const CodResult& r = results[i];
@@ -337,7 +339,7 @@ TEST_P(RandomFailpointFuzzTest, QueriesRespectTaxonomyUnderRandomFaults) {
   // Recovery: the same workload with clean sites and no budgets answers
   // every query completely.
   const std::vector<CodResult> clean =
-      w.engine->QueryBatch(base, pool, /*batch_seed=*/77);
+      RunQueryBatch(*w.engine, base, pool, /*batch_seed=*/77);
   for (size_t i = 0; i < clean.size(); ++i) {
     EXPECT_EQ(clean[i].code, StatusCode::kOk) << "spec " << i;
     EXPECT_FALSE(clean[i].degraded) << "spec " << i;
@@ -352,7 +354,7 @@ TEST(CancellationTest, MidPoolFailpointCancelsAndLeavesWorkspaceReusable) {
   // with kCancelled, and the workspace (slab pool included) stays reusable.
   BudgetWorld w = MakeBudgetWorld(52);
   TaskScheduler sampling_pool(2);
-  QueryWorkspace ws = w.engine->MakeWorkspace(/*seed=*/0);
+  QueryWorkspace ws(*w.engine, /*seed=*/0);
   ws.SetSamplingPool(&sampling_pool);
 
   QuerySpec spec;
@@ -372,7 +374,7 @@ TEST(CancellationTest, MidPoolFailpointCancelsAndLeavesWorkspaceReusable) {
   // Disarmed: the same workspace answers exactly like a fresh one.
   ws.ReseedRng(6);
   const CodResult reused = w.engine->Query(spec, ws);
-  QueryWorkspace fresh = w.engine->MakeWorkspace(/*seed=*/0);
+  QueryWorkspace fresh(*w.engine, /*seed=*/0);
   fresh.SetSamplingPool(&sampling_pool);
   fresh.ReseedRng(6);
   const CodResult expected = w.engine->Query(spec, fresh);
@@ -391,7 +393,7 @@ TEST(CancellationTest, PreCancelledBatchSkipsAllSampledWork) {
   BatchOptions options;
   options.cancel = &token;
   const std::vector<CodResult> results =
-      w.engine->QueryBatch(specs, pool, /*batch_seed=*/1, options);
+      RunQueryBatch(*w.engine, specs, pool, /*batch_seed=*/1, options);
   ASSERT_EQ(results.size(), specs.size());
   for (size_t i = 0; i < results.size(); ++i) {
     if (specs[i].variant == CodVariant::kCodUIndexed) {
@@ -421,7 +423,7 @@ TEST(CancellationTest, MidBatchCancelReturnsPromptly) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     token.Cancel();
   });
-  results = w.engine->QueryBatch(specs, pool, /*batch_seed=*/3, options);
+  results = RunQueryBatch(*w.engine, specs, pool, /*batch_seed=*/3, options);
   canceller.join();
   ASSERT_EQ(results.size(), specs.size());
   for (size_t i = 0; i < results.size(); ++i) {
@@ -537,17 +539,15 @@ TEST(HimorBudgetTest, ExpiredBudgetFailsBothBuilders) {
   const Dendrogram d = AgglomerativeCluster(g);
   const LcaIndex lca(d);
   const DiffusionModel m = DiffusionModel::WeightedCascadeIc(g);
-  Rng build_rng(1);
-  const Result<HimorIndex> serial =
-      HimorIndex::Build(m, d, lca, 5, build_rng, 16,
-                        Budget{Deadline::After(0.0)});
-  ASSERT_FALSE(serial.ok());
-  EXPECT_EQ(serial.status().code(), StatusCode::kTimeout);
-  const Result<HimorIndex> parallel = HimorIndex::BuildParallel(
-      m, d, lca, 5, /*seed=*/2, 16, /*num_threads=*/4,
-      Budget{Deadline::After(0.0)});
-  ASSERT_FALSE(parallel.ok());
-  EXPECT_EQ(parallel.status().code(), StatusCode::kTimeout);
+  // The one builder, on the calling thread and on a 4-worker scheduler.
+  for (const size_t num_threads : {1u, 4u}) {
+    const Result<HimorIndex> built = HimorIndex::Build(
+        m, d, lca, 5, /*seed=*/2, 16, Budget{Deadline::After(0.0)},
+        /*comp_size_of_node=*/nullptr, num_threads);
+    ASSERT_FALSE(built.ok()) << "num_threads=" << num_threads;
+    EXPECT_EQ(built.status().code(), StatusCode::kTimeout)
+        << "num_threads=" << num_threads;
+  }
 }
 
 TEST(HimorBudgetTest, BuildFailpointFailsTheBuild) {
@@ -559,13 +559,13 @@ TEST(HimorBudgetTest, BuildFailpointFailsTheBuild) {
   Rng build_rng(1);
   ScopedFailpoint fp("himor/build", /*count=*/1);
   const Result<HimorIndex> built =
-      HimorIndex::Build(m, d, lca, 5, build_rng, 16, Budget{});
+      HimorIndex::Build(m, d, lca, 5, build_rng.Next());
   ASSERT_FALSE(built.ok());
   EXPECT_EQ(built.status().code(), StatusCode::kIoError);
   // The site is disarmed after one hit: the retry succeeds.
   Rng retry_rng(1);
   const Result<HimorIndex> retry =
-      HimorIndex::Build(m, d, lca, 5, retry_rng, 16, Budget{});
+      HimorIndex::Build(m, d, lca, 5, retry_rng.Next());
   EXPECT_TRUE(retry.ok());
 }
 

@@ -1,29 +1,52 @@
-#include <fstream>
+// Payload codecs of the dendrogram and the HIMOR index (the buffer forms the
+// epoch snapshot container embeds). Container-level integrity — every byte
+// flip and truncation of a whole snapshot file — is SnapshotCorruptionTest's.
+
+#include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
-#include "core/cod_engine.h"
+#include "core/engine_core.h"
 #include "core/himor.h"
+#include "core/query_workspace.h"
 #include "graph/generators.h"
 #include "hierarchy/agglomerative.h"
 #include "hierarchy/dendrogram_io.h"
 #include "hierarchy/lca.h"
+#include "storage/epoch_snapshot.h"
 #include "tests/test_util.h"
 
 namespace cod {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+std::string DendrogramBytes(const Dendrogram& dendrogram) {
+  BinaryBufferWriter out;
+  SerializeDendrogram(dendrogram, out);
+  return out.bytes();
+}
+
+Result<Dendrogram> DecodeDendrogram(std::string_view bytes) {
+  BinarySpanReader in(bytes, "dendrogram");
+  return DeserializeDendrogram(in);
+}
+
+std::string IndexBytes(const HimorIndex& index) {
+  BinaryBufferWriter out;
+  index.SerializeTo(out);
+  return out.bytes();
+}
+
+Result<HimorIndex> DecodeIndex(std::string_view bytes) {
+  BinarySpanReader in(bytes, "HIMOR index");
+  return HimorIndex::Deserialize(in);
 }
 
 TEST(DendrogramIoTest, RoundTripPreservesStructure) {
   Rng rng(1);
   const Graph g = EnsureConnected(ErdosRenyi(150, 400, rng), rng);
   const Dendrogram original = AgglomerativeCluster(g);
-  const std::string path = TempPath("dendrogram.bin");
-  ASSERT_TRUE(SaveDendrogram(original, path).ok());
-  Result<Dendrogram> loaded = LoadDendrogram(path);
+  Result<Dendrogram> loaded = DecodeDendrogram(DendrogramBytes(original));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->NumVertices(), original.NumVertices());
   ASSERT_EQ(loaded->NumLeaves(), original.NumLeaves());
@@ -40,43 +63,27 @@ TEST(DendrogramIoTest, RoundTripPreservesStructure) {
 
 TEST(DendrogramIoTest, MultiWayVerticesSurvive) {
   const auto ex = testing::MakePaperExample();  // C0 has 4 children
-  const std::string path = TempPath("paper_dendrogram.bin");
-  ASSERT_TRUE(SaveDendrogram(ex.dendrogram, path).ok());
-  Result<Dendrogram> loaded = LoadDendrogram(path);
+  Result<Dendrogram> loaded = DecodeDendrogram(DendrogramBytes(ex.dendrogram));
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->Children(ex.c0).size(), 4u);
 }
 
 TEST(DendrogramIoTest, RejectsGarbage) {
-  const std::string path = TempPath("garbage.bin");
-  std::ofstream(path, std::ios::binary) << "this is not a dendrogram";
-  Result<Dendrogram> r = LoadDendrogram(path);
+  Result<Dendrogram> r = DecodeDendrogram("this is not a dendrogram");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(DendrogramIoTest, RejectsMissingFile) {
-  Result<Dendrogram> r = LoadDendrogram("/no/such/file.bin");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
-}
-
-TEST(DendrogramIoTest, RejectsTruncatedFile) {
-  Rng rng(2);
-  const Graph g = EnsureConnected(ErdosRenyi(40, 120, rng), rng);
-  const Dendrogram original = AgglomerativeCluster(g);
-  const std::string path = TempPath("full.bin");
-  ASSERT_TRUE(SaveDendrogram(original, path).ok());
-  // Truncate to half.
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
-  const std::string cut = TempPath("truncated.bin");
-  std::ofstream(cut, std::ios::binary)
-      << bytes.substr(0, bytes.size() / 2);
-  Result<Dendrogram> r = LoadDendrogram(cut);
-  ASSERT_FALSE(r.ok());
+TEST(DendrogramIoTest, EveryTruncationFailsCleanly) {
+  Rng rng(12);
+  const Graph g = EnsureConnected(ErdosRenyi(50, 140, rng), rng);
+  const std::string pristine = DendrogramBytes(AgglomerativeCluster(g));
+  for (size_t len = 0; len < pristine.size(); len += (len < 32 ? 1 : 17)) {
+    Result<Dendrogram> r =
+        DecodeDendrogram(std::string_view(pristine).substr(0, len));
+    ASSERT_FALSE(r.ok()) << "truncation to " << len << " decoded";
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(HimorIoTest, RoundTripAnswersIdentically) {
@@ -85,10 +92,9 @@ TEST(HimorIoTest, RoundTripAnswersIdentically) {
   const Dendrogram d = AgglomerativeCluster(g);
   const LcaIndex lca(d);
   const DiffusionModel m = DiffusionModel::WeightedCascadeIc(g);
-  const HimorIndex original = HimorIndex::Build(m, d, lca, 10, rng);
-  const std::string path = TempPath("himor.bin");
-  ASSERT_TRUE(original.Save(path).ok());
-  Result<HimorIndex> loaded = HimorIndex::Load(path);
+  const HimorIndex original =
+      HimorIndex::Build(m, d, lca, 10, rng.Next()).value();
+  Result<HimorIndex> loaded = DecodeIndex(IndexBytes(original));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->max_rank(), original.max_rank());
   EXPECT_EQ(loaded->NumEntries(), original.NumEntries());
@@ -105,13 +111,28 @@ TEST(HimorIoTest, RoundTripAnswersIdentically) {
 }
 
 TEST(HimorIoTest, RejectsGarbage) {
-  const std::string path = TempPath("bad_himor.bin");
-  std::ofstream(path, std::ios::binary) << "nope";
-  Result<HimorIndex> r = HimorIndex::Load(path);
+  Result<HimorIndex> r = DecodeIndex("nope");
   ASSERT_FALSE(r.ok());
 }
 
-TEST(EngineHimorIoTest, SaveLoadServesQueries) {
+TEST(HimorIoTest, EveryTruncationFailsCleanly) {
+  Rng rng(13);
+  const Graph g = EnsureConnected(ErdosRenyi(60, 180, rng), rng);
+  const Dendrogram d = AgglomerativeCluster(g);
+  const LcaIndex lca(d);
+  const DiffusionModel m = DiffusionModel::WeightedCascadeIc(g);
+  const std::string pristine =
+      IndexBytes(HimorIndex::Build(m, d, lca, 6, rng.Next()).value());
+  for (size_t len = 0; len < pristine.size(); len += (len < 32 ? 1 : 31)) {
+    Result<HimorIndex> r =
+        DecodeIndex(std::string_view(pristine).substr(0, len));
+    ASSERT_FALSE(r.ok()) << "truncation to " << len << " decoded";
+  }
+}
+
+// A core reassembled from the decoded hierarchy and index answers exactly
+// like the core that built them.
+TEST(EngineHimorIoTest, PrebuiltCoreServesQueries) {
   Rng gen_rng(4);
   HppParams params;
   params.num_nodes = 300;
@@ -119,142 +140,66 @@ TEST(EngineHimorIoTest, SaveLoadServesQueries) {
   params.levels = 2;
   params.fanout = 3;
   GeneratedGraph gen = HierarchicalPlantedPartition(params, gen_rng);
-  const AttributeTable attrs =
-      AssignCorrelatedAttributes(gen.block, 5, 0.8, 0.1, gen_rng);
+  auto graph = std::make_shared<const Graph>(std::move(gen.graph));
+  auto attrs = std::make_shared<const AttributeTable>(
+      AssignCorrelatedAttributes(gen.block, 5, 0.8, 0.1, gen_rng));
 
-  CodEngine writer_engine(gen.graph, attrs, {});
+  EngineCore writer(graph, attrs, {});
   Rng rng(5);
-  writer_engine.BuildHimor(rng);
-  const std::string path = TempPath("engine_himor.bin");
-  ASSERT_TRUE(writer_engine.SaveHimor(path).ok());
-
-  CodEngine reader_engine(gen.graph, attrs, {});
-  ASSERT_TRUE(reader_engine.LoadHimor(path).ok());
-  // Same graph + same seed: the loaded-index engine must answer exactly as
-  // the builder engine.
-  QueryWorkspace ws_a = writer_engine.MakeWorkspace(6);
-  QueryWorkspace ws_b = reader_engine.MakeWorkspace(6);
+  ASSERT_TRUE(writer.TryBuildHimor(rng.Next()).ok());
+  Result<Dendrogram> hierarchy =
+      DecodeDendrogram(DendrogramBytes(writer.base_hierarchy()));
+  Result<HimorIndex> index = DecodeIndex(IndexBytes(*writer.himor()));
+  ASSERT_TRUE(hierarchy.ok());
+  ASSERT_TRUE(index.ok());
+  Result<std::unique_ptr<EngineCore>> reader = EngineCore::FromPrebuilt(
+      graph, attrs, {}, std::move(hierarchy).value(),
+      std::move(index).value(), std::nullopt,
+      /*index_absent_degraded=*/false);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  // Same graph + same seed: the decoded-index core must answer exactly as
+  // the builder core.
+  QueryWorkspace ws_a(writer, 6);
+  QueryWorkspace ws_b(**reader, 6);
   for (NodeId q = 0; q < 20; ++q) {
-    const auto node_attrs = attrs.AttributesOf(q);
+    const auto node_attrs = attrs->AttributesOf(q);
     if (node_attrs.empty()) continue;
-    const CodResult a = writer_engine.QueryCodL(q, node_attrs[0], 5, ws_a);
-    const CodResult b = reader_engine.QueryCodL(q, node_attrs[0], 5, ws_b);
+    const CodResult a = writer.QueryCodL(q, node_attrs[0], 5, ws_a);
+    const CodResult b = (*reader)->QueryCodL(q, node_attrs[0], 5, ws_b);
     EXPECT_EQ(a.found, b.found);
     EXPECT_EQ(a.members, b.members);
   }
 }
 
-TEST(EngineHimorIoTest, SaveWithoutBuildFails) {
-  const auto ex = testing::MakePaperExample();
-  AttributeTableBuilder ab;
-  ab.Add(0, "X");
-  const AttributeTable attrs = std::move(ab).Build(10);
-  CodEngine engine(ex.graph, attrs, {});
-  EXPECT_EQ(engine.SaveHimor(TempPath("never.bin")).code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST(EngineHimorIoTest, LoadRejectsWrongGraph) {
+TEST(EngineHimorIoTest, PrebuiltRejectsWrongGraph) {
   Rng rng(7);
-  const Graph g1 = EnsureConnected(ErdosRenyi(50, 150, rng), rng);
-  const Graph g2 = EnsureConnected(ErdosRenyi(60, 180, rng), rng);
+  auto g1 = std::make_shared<const Graph>(
+      EnsureConnected(ErdosRenyi(50, 150, rng), rng));
+  auto g2 = std::make_shared<const Graph>(
+      EnsureConnected(ErdosRenyi(60, 180, rng), rng));
   AttributeTableBuilder a1;
   a1.Add(0, "X");
-  const AttributeTable attrs1 = std::move(a1).Build(50);
+  auto attrs1 = std::make_shared<const AttributeTable>(std::move(a1).Build(50));
   AttributeTableBuilder a2;
   a2.Add(0, "X");
-  const AttributeTable attrs2 = std::move(a2).Build(60);
-  CodEngine e1(g1, attrs1, {});
-  CodEngine e2(g2, attrs2, {});
+  auto attrs2 = std::make_shared<const AttributeTable>(std::move(a2).Build(60));
+  EngineCore e1(g1, attrs1, {});
   Rng build_rng(8);
-  e1.BuildHimor(build_rng);
-  const std::string path = TempPath("mismatch.bin");
-  ASSERT_TRUE(e1.SaveHimor(path).ok());
-  EXPECT_EQ(e2.LoadHimor(path).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(e1.TryBuildHimor(build_rng.Next()).ok());
+  Result<HimorIndex> index = DecodeIndex(IndexBytes(*e1.himor()));
+  ASSERT_TRUE(index.ok());
+  Result<std::unique_ptr<EngineCore>> e2 = EngineCore::FromPrebuilt(
+      g2, attrs2, {}, AgglomerativeCluster(*g2), std::move(index).value(),
+      std::nullopt, /*index_absent_degraded=*/false);
+  ASSERT_FALSE(e2.ok());
+  EXPECT_EQ(e2.status().code(), StatusCode::kInvalidArgument);
 }
 
-// ---------------------------------------------------------------------------
-// Corruption properties. The checksummed file envelope (magic | version |
-// size | payload | CRC32C) covers every byte, so ANY single-byte flip and
-// ANY truncation must fail with a clean InvalidArgument — never a crash,
-// never a silently different structure. CI runs this suite under
-// ASan/UBSan, which turns "never a crash" into a memory-safety proof.
-// ---------------------------------------------------------------------------
-
-std::string ReadBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-void WriteBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream(path, std::ios::binary).write(
-      bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-TEST(DendrogramIoTest, EverySingleByteFlipFailsCleanly) {
-  Rng rng(11);
-  const Graph g = EnsureConnected(ErdosRenyi(60, 180, rng), rng);
-  const Dendrogram original = AgglomerativeCluster(g);
-  const std::string path = TempPath("flip_base.bin");
-  ASSERT_TRUE(SaveDendrogram(original, path).ok());
-  const std::string pristine = ReadBytes(path);
-  ASSERT_FALSE(pristine.empty());
-  const std::string damaged_path = TempPath("flip_damaged.bin");
-  // Exhaustive over the envelope header, strided over the payload.
-  for (size_t off = 0; off < pristine.size();
-       off += (off < 32 ? 1 : 13)) {
-    std::string damaged = pristine;
-    damaged[off] = static_cast<char>(damaged[off] ^ (1u << (off % 8)));
-    WriteBytes(damaged_path, damaged);
-    Result<Dendrogram> r = LoadDendrogram(damaged_path);
-    ASSERT_FALSE(r.ok()) << "flip at offset " << off << " loaded";
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
-        << "offset " << off << ": " << r.status().ToString();
-  }
-}
-
-TEST(DendrogramIoTest, EveryTruncationFailsCleanly) {
-  Rng rng(12);
-  const Graph g = EnsureConnected(ErdosRenyi(50, 140, rng), rng);
-  const Dendrogram original = AgglomerativeCluster(g);
-  const std::string path = TempPath("cut_base.bin");
-  ASSERT_TRUE(SaveDendrogram(original, path).ok());
-  const std::string pristine = ReadBytes(path);
-  const std::string cut_path = TempPath("cut_damaged.bin");
-  for (size_t len = 0; len < pristine.size();
-       len += (len < 32 ? 1 : 17)) {
-    WriteBytes(cut_path, pristine.substr(0, len));
-    Result<Dendrogram> r = LoadDendrogram(cut_path);
-    ASSERT_FALSE(r.ok()) << "truncation to " << len << " loaded";
-  }
-}
-
-TEST(HimorIoTest, FlipsAndTruncationsFailCleanly) {
-  Rng rng(13);
-  const Graph g = EnsureConnected(ErdosRenyi(60, 180, rng), rng);
-  const Dendrogram d = AgglomerativeCluster(g);
-  const LcaIndex lca(d);
-  const DiffusionModel m = DiffusionModel::WeightedCascadeIc(g);
-  const HimorIndex original = HimorIndex::Build(m, d, lca, 6, rng);
-  const std::string path = TempPath("himor_base.bin");
-  ASSERT_TRUE(original.Save(path).ok());
-  const std::string pristine = ReadBytes(path);
-  const std::string damaged_path = TempPath("himor_damaged.bin");
-  for (size_t off = 0; off < pristine.size();
-       off += (off < 32 ? 1 : 29)) {
-    std::string damaged = pristine;
-    damaged[off] = static_cast<char>(damaged[off] ^ 0x80);
-    WriteBytes(damaged_path, damaged);
-    Result<HimorIndex> r = HimorIndex::Load(damaged_path);
-    ASSERT_FALSE(r.ok()) << "flip at offset " << off << " loaded";
-  }
-  for (size_t len = 0; len < pristine.size();
-       len += (len < 32 ? 1 : 31)) {
-    WriteBytes(damaged_path, pristine.substr(0, len));
-    Result<HimorIndex> r = HimorIndex::Load(damaged_path);
-    ASSERT_FALSE(r.ok()) << "truncation to " << len << " loaded";
-  }
+// The one file form left is the snapshot container's.
+TEST(EngineHimorIoTest, MissingSnapshotFileIsIoError) {
+  Result<DecodedEpochSnapshot> r = LoadEpochSnapshotFile("/no/such/file.bin");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Coverage-sketch index suite (influence/coverage_sketch.h): the bottom-k
-// signature algebra, bit-identical serial/parallel/delta builds, the
+// signature algebra, bit-identical 1-/4-thread and cold delta builds, the
 // answer-preserving prune property (sketch_prune on vs off must be
 // bit-identical on every exact query), the approximate sketch rung, the
 // kSketch snapshot section, and the "influence/sketch_build" failpoint.
@@ -58,6 +58,39 @@ World MakeWorld(uint64_t seed, size_t n = 200) {
   return w;
 }
 
+// Three disjoint planted-partition parts: several connected components, so
+// component-scoped materialization drops the impure merge vertices that the
+// dendrogram stacks above them.
+World MakeMultiComponentWorld(uint64_t seed) {
+  constexpr size_t kParts = 3;
+  constexpr size_t kPartNodes = 70;
+  Rng rng(seed);
+  GraphBuilder b(kParts * kPartNodes);
+  std::vector<uint32_t> block(kParts * kPartNodes);
+  uint32_t block_base = 0;
+  for (size_t p = 0; p < kParts; ++p) {
+    HppParams params;
+    params.num_nodes = kPartNodes;
+    params.num_edges = 4 * kPartNodes;
+    params.levels = 2;
+    params.fanout = 3;
+    const GeneratedGraph part = HierarchicalPlantedPartition(params, rng);
+    const NodeId base = static_cast<NodeId>(p * kPartNodes);
+    for (EdgeId e = 0; e < part.graph.NumEdges(); ++e) {
+      const auto [u, v] = part.graph.Endpoints(e);
+      b.AddEdge(base + u, base + v, part.graph.Weight(e));
+    }
+    for (NodeId v = 0; v < kPartNodes; ++v) {
+      block[base + v] = block_base + part.block[v];
+    }
+    block_base += part.num_blocks;
+  }
+  World w;
+  w.graph = std::move(b).Build();
+  w.attrs = AssignCorrelatedAttributes(block, 4, 0.8, 0.1, rng);
+  return w;
+}
+
 Graph CopyGraph(const Graph& g) {
   GraphBuilder b(g.NumNodes());
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
@@ -78,6 +111,13 @@ std::string SketchBytes(const EngineCore& core) {
   BinaryBufferWriter w;
   EXPECT_NE(core.sketch(), nullptr);
   if (core.sketch() != nullptr) core.sketch()->SerializeTo(w);
+  return std::move(w).TakeBytes();
+}
+
+std::string HimorBytes(const EngineCore& core) {
+  BinaryBufferWriter w;
+  EXPECT_NE(core.himor(), nullptr);
+  if (core.himor() != nullptr) core.himor()->SerializeTo(w);
   return std::move(w).TakeBytes();
 }
 
@@ -162,34 +202,58 @@ TEST(BottomKAlgebraTest, FullEstimatorTracksDistinctCardinality) {
 // Build identity and structural invariants.
 // ---------------------------------------------------------------------------
 
+// The one batch builder at 1 and 4 threads and a cold delta build write the
+// same HIMOR and sketch bytes, mono and component-scoped alike.
 TEST(SketchBuildTest, SerialAndParallelBuildsBitIdentical) {
-  const World w = MakeWorld(FuzzSeed(3));
+  const World w = MakeMultiComponentWorld(FuzzSeed(3));
   const uint64_t rng_seed = 77;
   Rng seeder(rng_seed);
-  const uint64_t schedule_seed = seeder.Next();  // the serial build's 1 draw
+  const uint64_t schedule_seed = seeder.Next();  // a caller's one draw
 
-  EngineCore serial(w.graph, w.attrs, SketchOpts());
-  Rng rng(rng_seed);
-  serial.BuildHimor(rng);
-  ASSERT_NE(serial.sketch(), nullptr);
-  EXPECT_EQ(serial.sketch()->schedule_seed(), schedule_seed);
-  EXPECT_EQ(serial.sketch()->theta(), SketchOpts().theta);
-  EXPECT_EQ(serial.sketch()->NumNodes(), w.graph.NumNodes());
+  std::string mono_himor;
+  for (const bool scoped : {false, true}) {
+    SCOPED_TRACE(scoped ? "component_scoped" : "mono");
+    EngineOptions opts = SketchOpts();
+    opts.component_scoped = scoped;
 
-  EngineCore par1(w.graph, w.attrs, SketchOpts());
-  par1.BuildHimorParallel(schedule_seed, 1);
-  EngineCore par4(w.graph, w.attrs, SketchOpts());
-  par4.BuildHimorParallel(schedule_seed, 4);
-  const std::string bytes = SketchBytes(serial);
-  EXPECT_EQ(bytes, SketchBytes(par1));
-  EXPECT_EQ(bytes, SketchBytes(par4));
+    EngineCore serial(w.graph, w.attrs, opts);
+    Rng rng(rng_seed);
+    ASSERT_TRUE(serial.TryBuildHimor(rng.Next(), {}, 1).ok());
+    ASSERT_NE(serial.sketch(), nullptr);
+    EXPECT_EQ(serial.sketch()->schedule_seed(), schedule_seed);
+    EXPECT_EQ(serial.sketch()->theta(), SketchOpts().theta);
+    EXPECT_EQ(serial.sketch()->NumNodes(), w.graph.NumNodes());
+
+    EngineCore par4(w.graph, w.attrs, opts);
+    ASSERT_TRUE(par4.TryBuildHimor(schedule_seed, {}, 4).ok());
+    EngineCore cold_delta(w.graph, w.attrs, opts);
+    HimorSampleCache cache;
+    HimorDeltaStats stats;
+    ASSERT_TRUE(cold_delta
+                    .TryBuildHimorDelta(schedule_seed, {}, nullptr, nullptr,
+                                        &cache, &stats)
+                    .ok());
+
+    const std::string himor = HimorBytes(serial);
+    EXPECT_EQ(himor, HimorBytes(par4));
+    EXPECT_EQ(himor, HimorBytes(cold_delta));
+    const std::string sketch = SketchBytes(serial);
+    EXPECT_EQ(sketch, SketchBytes(par4));
+    EXPECT_EQ(sketch, SketchBytes(cold_delta));
+    if (scoped) {
+      // Scoping matters on this world: impure communities are dropped.
+      EXPECT_NE(himor, mono_himor);
+    } else {
+      mono_himor = himor;
+    }
+  }
 }
 
 TEST(SketchBuildTest, ThresholdAndSignatureInvariants) {
   const World w = MakeWorld(FuzzSeed(4));
   EngineCore core(w.graph, w.attrs, SketchOpts());
   Rng rng(5);
-  core.BuildHimor(rng);
+  ASSERT_TRUE(core.TryBuildHimor(rng.Next()).ok());
   ASSERT_NE(core.sketch(), nullptr);
   const CoverageSketchIndex& sk = *core.sketch();
   size_t materialized = 0;
@@ -224,7 +288,7 @@ TEST(SketchBuildTest, SketchBuildFailpointDropsSketchKeepsIndex) {
   {
     ScopedFailpoint fp("influence/sketch_build", /*count=*/1);
     Rng rng(6);
-    core.BuildHimor(rng);
+    ASSERT_TRUE(core.TryBuildHimor(rng.Next()).ok());
   }
   EXPECT_NE(core.himor(), nullptr);
   EXPECT_EQ(core.sketch(), nullptr);
@@ -233,7 +297,7 @@ TEST(SketchBuildTest, SketchBuildFailpointDropsSketchKeepsIndex) {
   EXPECT_EQ(core.QueryCodU(0, 3, ws).code, StatusCode::kOk);
   // Rebuilding without the failpoint restores the sketch.
   Rng rng2(6);
-  core.BuildHimor(rng2);
+  ASSERT_TRUE(core.TryBuildHimor(rng2.Next()).ok());
   EXPECT_NE(core.sketch(), nullptr);
 }
 
@@ -251,8 +315,8 @@ TEST_P(SketchPruneTest, PruningNeverChangesExactAnswers) {
   off_opts.sketch_prune = false;
   EngineCore pruned(w.graph, w.attrs, SketchOpts());
   EngineCore plain(w.graph, w.attrs, off_opts);
-  pruned.BuildHimorParallel(seed + 1, 2);
-  plain.BuildHimorParallel(seed + 1, 2);
+  ASSERT_TRUE(pruned.TryBuildHimor(seed + 1, {}, 2).ok());
+  ASSERT_TRUE(plain.TryBuildHimor(seed + 1, {}, 2).ok());
   ASSERT_NE(pruned.sketch(), nullptr);
 
   size_t levels_pruned = 0;
@@ -297,7 +361,7 @@ TEST(SketchRungTest, DirectSketchQueriesAlwaysDegraded) {
   const World w = MakeWorld(FuzzSeed(61));
   EngineCore core(w.graph, w.attrs, SketchOpts());
   Rng rng(13);
-  core.BuildHimor(rng);
+  ASSERT_TRUE(core.TryBuildHimor(rng.Next()).ok());
   QueryWorkspace ws(core, 1);
   size_t found = 0;
   for (NodeId q = 0; q < w.graph.NumNodes(); q += 3) {
@@ -326,7 +390,7 @@ TEST(SketchRungTest, ShedBatchBottomsOutInSketchRung) {
   // must equal a direct sketch query (the rung is deterministic — no rng).
   const World w = MakeWorld(FuzzSeed(62));
   EngineCore core(w.graph, w.attrs, SketchOpts());
-  core.BuildHimorParallel(17, 2);
+  ASSERT_TRUE(core.TryBuildHimor(17, {}, 2).ok());
   ASSERT_NE(core.sketch(), nullptr);
 
   std::vector<QuerySpec> specs;
@@ -368,7 +432,7 @@ TEST(SketchRungTest, RungAbsentWhenDisabledOrSketchless) {
   EngineOptions no_rung = SketchOpts();
   no_rung.sketch_rung = false;
   EngineCore core(w.graph, w.attrs, no_rung);
-  core.BuildHimorParallel(19, 2);
+  ASSERT_TRUE(core.TryBuildHimor(19, {}, 2).ok());
 
   std::vector<QuerySpec> specs;
   for (NodeId q = 0; q < 12; ++q) {
@@ -397,7 +461,7 @@ TEST(SketchSnapshotTest, EncodeDecodeRoundTripsSketchSection) {
   const World w = MakeWorld(FuzzSeed(41));
   EngineCore core(w.graph, w.attrs, SketchOpts());
   Rng rng(9);
-  core.BuildHimor(rng);
+  ASSERT_TRUE(core.TryBuildHimor(rng.Next()).ok());
   ASSERT_NE(core.sketch(), nullptr);
   EpochSnapshotMeta meta;
   meta.epoch = 3;
@@ -413,7 +477,7 @@ TEST(SketchSnapshotTest, EncodeDecodeRoundTripsSketchSection) {
   // A sketchless core writes no kSketch section and decodes sketch-less.
   EngineCore bare(w.graph, w.attrs, EngineOptions{});
   Rng rng2(9);
-  bare.BuildHimor(rng2);
+  ASSERT_TRUE(bare.TryBuildHimor(rng2.Next()).ok());
   const Result<DecodedEpochSnapshot> decoded2 =
       DecodeEpochSnapshot(EncodeEpochSnapshot(meta, bare), "bare-roundtrip");
   ASSERT_TRUE(decoded2.ok()) << decoded2.status().message();
