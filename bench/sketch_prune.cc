@@ -83,8 +83,8 @@ int Run(int argc, char** argv) {
   EngineCore plain(data.graph, data.attributes, plain_opts);
   // Same schedule seed: both engines hold bit-identical HIMOR indexes and
   // sketches, so any answer divergence below is the prune bound's fault.
-  COD_CHECK(pruned.TryBuildHimor(flags.seed, {}, flags.threads).ok());
-  COD_CHECK(plain.TryBuildHimor(flags.seed, {}, flags.threads).ok());
+  COD_CHECK(pruned.TryBuildHimor(flags.seed).ok());
+  COD_CHECK(plain.TryBuildHimor(flags.seed).ok());
 
   Rng query_rng(flags.seed + 17);
   const std::vector<Query> queries =

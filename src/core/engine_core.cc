@@ -251,6 +251,27 @@ Result<std::unique_ptr<EngineCore>> EngineCore::FromPrebuilt(
     return Status::InvalidArgument(
         "HIMOR index was built for a different graph (node count mismatch)");
   }
+  if (himor.has_value()) {
+    // An index a query could crash on is refused here, once: a k up to
+    // options.himor_max_rank must be answerable (FindTopKAncestor checks
+    // k <= max_rank), and every entry must name a base-hierarchy community
+    // (Dendrogram::IsAncestorOrSelf does not bounds-check).
+    if (himor->max_rank() < options.himor_max_rank) {
+      return Status::InvalidArgument(
+          "HIMOR index was built with max_rank " +
+          std::to_string(himor->max_rank()) + " < himor_max_rank " +
+          std::to_string(options.himor_max_rank));
+    }
+    const size_t num_vertices = base_hierarchy.NumVertices();
+    for (NodeId v = 0; v < himor->NumNodes(); ++v) {
+      for (const HimorIndex::Entry& e : himor->RanksOf(v)) {
+        if (e.community >= num_vertices) {
+          return Status::InvalidArgument(
+              "HIMOR index names a community outside the base hierarchy");
+        }
+      }
+    }
+  }
   if (himor.has_value() && index_absent_degraded) {
     return Status::InvalidArgument(
         "a core with an index cannot be index-absent degraded");
@@ -432,17 +453,11 @@ LoreChain EngineCore::BuildCodlChain(
   return std::move(built).value();
 }
 
-Result<LoreChain> EngineCore::BuildCodlChainFromScores(
-    const LoreScores& scores, NodeId q, std::span<const AttributeId> attrs,
+Result<CodChain> EngineCore::BuildLocalChain(
+    NodeId q, CommunityId c_ell, std::span<const AttributeId> attrs,
     const Budget& budget) const {
-  COD_DCHECK(scores.code == StatusCode::kOk);
-  LoreChain out;
-  out.c_ell = scores.Selected();
-
-  // Locally recluster C_ell's induced subgraph with attribute weights.
-  const auto members = base_.Members(out.c_ell);
   const InducedSubgraph sub = BuildAttributeWeightedSubgraph(
-      *graph_, *attrs_, attrs, options_.transform, members);
+      *graph_, *attrs_, attrs, options_.transform, base_.Members(c_ell));
   Result<Dendrogram> local =
       AgglomerativeCluster(sub.graph, AgglomerativeOptions{}, budget);
   if (!local.ok()) return local.status();
@@ -454,8 +469,19 @@ Result<LoreChain> EngineCore::BuildCodlChainFromScores(
     }
   }
   COD_CHECK(local_q != kInvalidNode);
-  out.chain = BuildChainFromDendrogram(*local, local_q, kInvalidCommunity,
-                                       &sub.to_parent, graph_->NumNodes());
+  return BuildChainFromDendrogram(*local, local_q, kInvalidCommunity,
+                                  &sub.to_parent, graph_->NumNodes());
+}
+
+Result<LoreChain> EngineCore::BuildCodlChainFromScores(
+    const LoreScores& scores, NodeId q, std::span<const AttributeId> attrs,
+    const Budget& budget) const {
+  COD_DCHECK(scores.code == StatusCode::kOk);
+  LoreChain out;
+  out.c_ell = scores.Selected();
+  Result<CodChain> local = BuildLocalChain(q, out.c_ell, attrs, budget);
+  if (!local.ok()) return local.status();
+  out.chain = std::move(local).value();
   out.local_levels = out.chain.NumLevels();
   // The local levels come from a private reclustered dendrogram the sketch
   // knows nothing about (kInvalidCommunity = unprunable); the global
@@ -471,6 +497,7 @@ Result<LoreChain> EngineCore::BuildCodlChainFromScores(
   // under component scoping (the scores chain is truncated there, so the
   // spliced chain ends at the same community either way).
   const uint32_t splice_top_depth = base_.Depth(scores.chain.back());
+  const auto members = base_.Members(out.c_ell);
   const NodeId* prev_begin = members.data();
   const NodeId* prev_end = members.data() + members.size();
   std::vector<NodeId> fresh;
@@ -559,9 +586,7 @@ CodResult EngineCore::Query(const QuerySpec& spec, QueryWorkspace& ws) const {
         }
         break;
       case CodVariant::kCodR:
-        result = spec.attrs.size() == 1
-                     ? DoCodRSingle(spec.node, spec.attrs[0], k, ws)
-                     : DoCodRSpan(spec.node, spec.attrs, k, ws);
+        result = DoCodR(spec.node, spec.attrs, k, ws);
         break;
       case CodVariant::kCodLMinus:
         result = DoCodLMinus(spec.node, spec.attrs, k, ws);
@@ -713,17 +738,18 @@ CodResult EngineCore::DoCodU(NodeId q, uint32_t k, QueryWorkspace& ws) const {
   return result;
 }
 
-CodResult EngineCore::DoCodRSingle(NodeId q, AttributeId attr, uint32_t k,
-                                   QueryWorkspace& ws) const {
+CodResult EngineCore::DoCodR(NodeId q, std::span<const AttributeId> attrs,
+                             uint32_t k, QueryWorkspace& ws) const {
   QueryStats& st = ws.stats();
   CodChain chain;
   bool fell_back = false;
   {
     StageTimer timer(&st.chain_build_seconds);
-    if (options_.cache_codr_hierarchies) {
+    // Only one-attribute specs use the per-attribute hierarchy cache.
+    if (attrs.size() == 1 && options_.cache_codr_hierarchies) {
       bool from_cache = false;
       Result<std::shared_ptr<const Dendrogram>> cached =
-          CodrDendrogramFor(attr, ws.budget(), &from_cache);
+          CodrDendrogramFor(attrs[0], ws.budget(), &from_cache);
       st.codr_cache_hit = from_cache;
       if (cached.ok()) {
         chain = BuildChainFromDendrogram(*cached.value(), q,
@@ -746,7 +772,7 @@ CodResult EngineCore::DoCodRSingle(NodeId q, AttributeId attr, uint32_t k,
       }
     } else {
       Result<Dendrogram> dendrogram = GlobalRecluster(
-          *graph_, *attrs_, attr, options_.transform, ws.budget());
+          *graph_, *attrs_, attrs, options_.transform, ws.budget());
       if (!dendrogram.ok()) {
         return BudgetExhaustedResult(dendrogram.status().code(),
                                      CodVariant::kCodR);
@@ -761,27 +787,6 @@ CodResult EngineCore::DoCodRSingle(NodeId q, AttributeId attr, uint32_t k,
   if (fell_back && MetricsRegistry::enabled()) {
     Stages().codr_fallbacks->Increment();
   }
-  return result;
-}
-
-CodResult EngineCore::DoCodRSpan(NodeId q, std::span<const AttributeId> attrs,
-                                 uint32_t k, QueryWorkspace& ws) const {
-  // Topic-set CODR never uses the per-attribute cache.
-  QueryStats& st = ws.stats();
-  CodChain chain;
-  {
-    StageTimer timer(&st.chain_build_seconds);
-    Result<Dendrogram> dendrogram = GlobalRecluster(
-        *graph_, *attrs_, attrs, options_.transform, ws.budget());
-    if (!dendrogram.ok()) {
-      return BudgetExhaustedResult(dendrogram.status().code(),
-                                   CodVariant::kCodR);
-    }
-    chain = BuildChainFromDendrogram(*dendrogram, q,
-                                     ScopeTopFor(*dendrogram, q));
-  }
-  CodResult result = EvaluateChain(chain, q, k, ws);
-  result.variant_served = CodVariant::kCodR;
   return result;
 }
 
@@ -840,17 +845,9 @@ CodResult EngineCore::DoCodL(NodeId q, std::span<const AttributeId> attrs,
   const CommunityId c_ell = scores.Selected();
 
   // Fast path: some untouched ancestor of C_ell already has q in its top-k.
-  if (const HimorIndex::Entry* hit =
-          himor_->FindTopKAncestor(q, c_ell, k, base_)) {
+  CodResult result;
+  if (ProbeIndex(q, c_ell, k, scores.chain.size(), &result) != nullptr) {
     st.index_hit = true;
-    CodResult result;
-    result.found = true;
-    result.answered_from_index = true;
-    result.variant_served = CodVariant::kCodL;
-    result.rank = hit->rank;
-    const auto span = base_.Members(hit->community);
-    result.members.assign(span.begin(), span.end());
-    result.num_levels = scores.chain.size();  // chain length consulted
     return result;
   }
 
@@ -859,28 +856,30 @@ CodResult EngineCore::DoCodL(NodeId q, std::span<const AttributeId> attrs,
   CodChain chain;
   {
     StageTimer timer(&st.chain_build_seconds);
-    const auto members = base_.Members(c_ell);
-    const InducedSubgraph sub = BuildAttributeWeightedSubgraph(
-        *graph_, *attrs_, attrs, options_.transform, members);
-    Result<Dendrogram> local =
-        AgglomerativeCluster(sub.graph, AgglomerativeOptions{}, ws.budget());
+    Result<CodChain> local = BuildLocalChain(q, c_ell, attrs, ws.budget());
     if (!local.ok()) {
       return BudgetExhaustedResult(local.status().code(), CodVariant::kCodL);
     }
-    NodeId local_q = kInvalidNode;
-    for (size_t i = 0; i < sub.to_parent.size(); ++i) {
-      if (sub.to_parent[i] == q) {
-        local_q = static_cast<NodeId>(i);
-        break;
-      }
-    }
-    COD_CHECK(local_q != kInvalidNode);
-    chain = BuildChainFromDendrogram(*local, local_q, kInvalidCommunity,
-                                     &sub.to_parent, graph_->NumNodes());
+    chain = std::move(local).value();
   }
-  CodResult result = EvaluateChain(chain, q, k, ws);
+  result = EvaluateChain(chain, q, k, ws);
   result.variant_served = CodVariant::kCodL;
   return result;
+}
+
+const HimorIndex::Entry* EngineCore::ProbeIndex(NodeId q, CommunityId c_ell,
+                                                uint32_t k, size_t num_levels,
+                                                CodResult* result) const {
+  const HimorIndex::Entry* hit = himor_->FindTopKAncestor(q, c_ell, k, base_);
+  if (hit == nullptr) return nullptr;
+  result->found = true;
+  result->answered_from_index = true;
+  result->variant_served = CodVariant::kCodL;
+  result->rank = hit->rank;
+  const auto span = base_.Members(hit->community);
+  result->members.assign(span.begin(), span.end());
+  result->num_levels = num_levels;  // chain length consulted
+  return hit;
 }
 
 CodResult EngineCore::DoCodUIndexed(NodeId q, uint32_t k) const {
@@ -960,16 +959,11 @@ QueryExplanation EngineCore::ExplainCodL(NodeId q, AttributeId attr,
   explanation.c_ell_size = base_.LeafCount(c_ell);
 
   if (const HimorIndex::Entry* hit =
-          himor_->FindTopKAncestor(q, c_ell, k, base_)) {
+          ProbeIndex(q, c_ell, k, explanation.scores.chain.size(),
+                     &explanation.result)) {
     explanation.index_hit = true;
     explanation.index_community = hit->community;
     explanation.index_rank = hit->rank;
-    explanation.result.found = true;
-    explanation.result.answered_from_index = true;
-    explanation.result.variant_served = CodVariant::kCodL;
-    explanation.result.rank = hit->rank;
-    const auto span = base_.Members(hit->community);
-    explanation.result.members.assign(span.begin(), span.end());
     return explanation;
   }
   // Fall back to the uninstrumented slow path (identical code path).
@@ -1036,26 +1030,9 @@ std::vector<Promoter> EngineCore::FindTopPromoters(AttributeId attr,
   return promoters;
 }
 
-void EngineCore::AdoptSketch(std::optional<CoverageSketchIndex> sketch) {
-  sketch_ = std::move(sketch);
-  if (sketch_.has_value() && MetricsRegistry::enabled()) {
-    const StageSites& ss = Stages();
-    ss.sketch_merge->Observe(sketch_->build_merge_seconds());
-    ss.sketch_finalize->Observe(sketch_->build_finalize_seconds());
-  }
-}
-
-Status EngineCore::TryBuildHimor(uint64_t seed, const Budget& budget,
-                                 size_t num_threads) {
-  std::optional<CoverageSketchIndex> sketch;
-  Result<HimorIndex> built = HimorIndex::Build(
-      model_, base_, lca_, options_.theta, seed, options_.himor_max_rank,
-      budget, options_.component_scoped ? &comp_size_of_node_ : nullptr,
-      num_threads, options_.sketch_bits, &sketch);
-  if (!built.ok()) return built.status();
-  himor_ = std::move(built).value();
-  AdoptSketch(std::move(sketch));
-  return Status::Ok();
+Status EngineCore::TryBuildHimor(uint64_t seed, const Budget& budget) {
+  return TryBuildHimorDelta(seed, budget, /*dirty=*/nullptr, /*prev=*/nullptr,
+                            /*next=*/nullptr, /*stats=*/nullptr);
 }
 
 Status EngineCore::TryBuildHimorDelta(uint64_t seed, const Budget& budget,
@@ -1070,7 +1047,14 @@ Status EngineCore::TryBuildHimorDelta(uint64_t seed, const Budget& budget,
       dirty, prev, next, stats, options_.sketch_bits, &sketch);
   if (!built.ok()) return built.status();
   himor_ = std::move(built).value();
-  AdoptSketch(std::move(sketch));
+  // A failed build never reaches this, keeping the previous index+sketch
+  // pair intact together.
+  sketch_ = std::move(sketch);
+  if (sketch_.has_value() && MetricsRegistry::enabled()) {
+    const StageSites& ss = Stages();
+    ss.sketch_merge->Observe(sketch_->build_merge_seconds());
+    ss.sketch_finalize->Observe(sketch_->build_finalize_seconds());
+  }
   return Status::Ok();
 }
 

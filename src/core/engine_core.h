@@ -28,7 +28,7 @@
 // built an index still fail fast (programming error), so the degraded mode
 // is explicit, never accidental.
 //
-// Construction-time mutation: TryBuildHimor / TryBuildHimorDelta /
+// Construction-time mutation: TryBuildHimorDelta / TryBuildHimor /
 // MarkIndexAbsent are setup steps. They must happen-before the core is
 // shared across threads (publish the shared_ptr only after setup), exactly
 // like filling a const object before handing out references.
@@ -71,7 +71,8 @@ struct EngineOptions {
   TransformOptions transform;
   DiffusionKind diffusion = DiffusionKind::kIndependentCascade;
   // Largest k the HIMOR index can answer (ranks >= this are not stored;
-  // see HimorIndex::Build).
+  // see HimorIndex::BuildDelta). FromPrebuilt refuses an index built with
+  // a smaller max_rank.
   uint32_t himor_max_rank = 16;
   // Reuse CODR hierarchies across queries with the same attribute (results
   // are identical; only timing changes — keep false for runtime benches).
@@ -85,7 +86,7 @@ struct EngineOptions {
   // query is answered as if q's connected component were the whole graph.
   // Ancestor chains are truncated at the component subtree, LORE depth
   // weights are measured relative to it, and the HIMOR index is built with
-  // component-pure materialization (HimorIndex::Build's
+  // component-pure materialization (HimorIndex::BuildDelta's
   // comp_size_of_node). The payoff: a query's answer is a pure
   // function of its component's subgraph — bit-identical no matter which
   // other components share the engine — which is what makes sharded
@@ -230,8 +231,10 @@ class EngineCore {
   // LCA index are recomputed (both cheap and deterministic functions of the
   // graph / hierarchy), so a core restored from a snapshot answers queries
   // bit-identically to the one that wrote it. Fails with InvalidArgument
-  // when the parts disagree (node counts, leaf counts) instead of
-  // CHECK-crashing: snapshot bytes are hostile input.
+  // when the parts disagree (node counts, leaf counts, an index max_rank
+  // below options.himor_max_rank, an index entry naming a community outside
+  // the hierarchy) instead of CHECK-crashing: snapshot bytes are hostile
+  // input.
   // `sketch` restores the coverage-sketch index persisted alongside the
   // HIMOR index (snapshot section kSketch); it requires `himor` to be
   // present and is validated against the graph/hierarchy shape. A missing
@@ -318,24 +321,23 @@ class EngineCore {
 
   // ---- Setup-time mutators: must happen-before sharing the core. ----
   // Builds (or rebuilds) the HIMOR index over the base hierarchy, plus the
-  // coverage sketch when options().sketch_bits > 0. The result depends on
-  // `seed` only, never on `num_threads` (see HimorIndex::Build); honors
-  // options_.component_scoped. A build that runs out of budget (or hits the
+  // coverage sketch when options().sketch_bits > 0, on the counter-seeded
+  // per-sample schedule (see HimorIndex::BuildDelta); honors
+  // options_.component_scoped. With a valid `prev` cache plus the
+  // dirty-vertex bitmap, only samples touching dirty vertices are redrawn;
+  // with prev == nullptr this is the cold build. A non-null `next` receives
+  // the carry state for the following epoch (on success the build consumes
+  // prev's bucket-row carry, moved into next); with next == nullptr no
+  // carry is recorded. A build that runs out of budget (or hits the
   // "himor/build" failpoint) returns the error and leaves any previously
   // built index untouched.
-  Status TryBuildHimor(uint64_t seed, const Budget& budget = {},
-                       size_t num_threads = 1);
-  // Incremental build on the counter-seeded per-sample schedule (see
-  // HimorIndex::BuildDelta): with a valid `prev` cache plus the dirty-vertex
-  // bitmap, only samples touching dirty vertices are redrawn; with
-  // prev == nullptr this IS the delta-mode cold build. `next` (required)
-  // receives the carry state for the following epoch; on success the build
-  // consumes prev's bucket-row carry (moved into next). Honors
-  // options_.component_scoped like TryBuildHimor.
   Status TryBuildHimorDelta(uint64_t seed, const Budget& budget,
                             const std::vector<char>* dirty,
                             HimorSampleCache* prev,
                             HimorSampleCache* next, HimorDeltaStats* stats);
+  // The cold build without carry: TryBuildHimorDelta with null
+  // dirty/prev/next/stats.
+  Status TryBuildHimor(uint64_t seed, const Budget& budget = {});
   // Declares that this core intentionally serves WITHOUT a HIMOR index (the
   // budgeted build failed and the epoch is being published degraded). CODL
   // then answers via the CODL- computation (local recluster + spliced
@@ -369,6 +371,20 @@ class EngineCore {
              std::shared_ptr<const AttributeTable> attrs,
              const EngineOptions& options, Dendrogram base_hierarchy);
 
+  // q's chain inside C_ell = `c_ell`, reclustered locally with attribute
+  // weights (node ids mapped back to the graph); the slow path of both
+  // CODL and CODL-. The clustering pass polls `budget` and unwinds with
+  // kTimeout/kCancelled.
+  Result<CodChain> BuildLocalChain(NodeId q, CommunityId c_ell,
+                                   std::span<const AttributeId> attrs,
+                                   const Budget& budget) const;
+  // Algorithm 3, lines 1-2: when some ancestor of `c_ell` has q in its
+  // top-k, fills *result with that community (answered from the index,
+  // `num_levels` = the LORE chain length consulted) and returns the index
+  // entry; returns nullptr on a miss. Requires himor().
+  const HimorIndex::Entry* ProbeIndex(NodeId q, CommunityId c_ell, uint32_t k,
+                                      size_t num_levels,
+                                      CodResult* result) const;
   // The LORE splice of BuildCodlChain after the scores are known; shared by
   // the budgeted query paths, which compute scores themselves. The local
   // reclustering pass polls `budget` and unwinds with kTimeout/kCancelled.
@@ -379,10 +395,8 @@ class EngineCore {
   // ---- Variant implementations behind Query()'s dispatch. These fill
   // ws.stats() stage-by-stage; Query() owns the metrics tagging. ----
   CodResult DoCodU(NodeId q, uint32_t k, QueryWorkspace& ws) const;
-  CodResult DoCodRSingle(NodeId q, AttributeId attr, uint32_t k,
-                         QueryWorkspace& ws) const;
-  CodResult DoCodRSpan(NodeId q, std::span<const AttributeId> attrs,
-                       uint32_t k, QueryWorkspace& ws) const;
+  CodResult DoCodR(NodeId q, std::span<const AttributeId> attrs, uint32_t k,
+                   QueryWorkspace& ws) const;
   CodResult DoCodLMinus(NodeId q, std::span<const AttributeId> attrs,
                         uint32_t k, QueryWorkspace& ws) const;
   CodResult DoCodL(NodeId q, std::span<const AttributeId> attrs, uint32_t k,
@@ -410,11 +424,6 @@ class EngineCore {
   bool IsSingletonComponent(NodeId q) const {
     return options_.component_scoped && comp_size_of_node_[q] <= 1;
   }
-  // Commits a freshly co-built coverage sketch (possibly empty — failpoint
-  // or sketch_bits == 0) after a SUCCESSFUL index build, observing its
-  // build-stage histograms. Failed builds never reach this, keeping the
-  // previous index+sketch pair intact together.
-  void AdoptSketch(std::optional<CoverageSketchIndex> sketch);
 
   // Drops least-recently-used READY entries until the cache fits
   // options_.codr_cache_capacity; in-flight builds are never evicted.

@@ -1,12 +1,10 @@
 #include "core/himor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <queue>
 
 #include "common/binary_io.h"
 #include "common/failpoint.h"
-#include "common/task_scheduler.h"
 #include "hierarchy/sketch_builder.h"
 
 namespace cod {
@@ -43,10 +41,9 @@ void MergeRuns(const Run& a, const Run& b,
 }
 
 // Stage-1 worker: samples RR graphs and performs hierarchical-first search
-// on the tree, emitting one (community, node) pair per first visit. Each
-// worker owns its scratch, so independent workers can run on a thread pool;
-// pairs are aggregated into buckets afterwards (addition commutes, so any
-// merge order works).
+// on the tree, emitting one (community, node) pair per first visit; pairs
+// are aggregated into buckets afterwards (addition commutes, so any merge
+// order works).
 //
 // The walk is split from the sampling so the delta builder can re-run it
 // over RR bytes carried from the previous epoch (RrSlabPool::View) as well
@@ -174,42 +171,6 @@ class TreeHfsSampler {
 
   const RrGraph& last_rr() const { return rr_; }
 
-  // Returns kOk, or the first exhausted-budget/abort code observed. The
-  // budget is polled once per source (a source's theta RR graphs are the
-  // check interval); `abort_code`, when non-null, is shared across parallel
-  // workers so one worker's failure stops the rest at their next source.
-  // Sample (source, t) draws from Rng(RrSampleSeed(seed, source * theta +
-  // t)) — the one schedule every HIMOR builder shares, so any source range
-  // partition (serial, batched, per-source) produces identical bytes.
-  StatusCode ProcessSources(NodeId begin, NodeId end, uint32_t theta,
-                            uint64_t seed,
-                            std::vector<std::pair<CommunityId, NodeId>>* pairs,
-                            const Budget& budget,
-                            std::atomic<int>* abort_code) {
-    for (NodeId source = begin; source < end; ++source) {
-      if (abort_code != nullptr) {
-        const int aborted = abort_code->load(std::memory_order_relaxed);
-        if (aborted != 0) return static_cast<StatusCode>(aborted);
-      }
-      const StatusCode budget_code = budget.ExhaustedCode();
-      if (budget_code != StatusCode::kOk) {
-        if (abort_code != nullptr) {
-          int expected = 0;
-          abort_code->compare_exchange_strong(expected,
-                                             static_cast<int>(budget_code),
-                                             std::memory_order_relaxed);
-        }
-        return budget_code;
-      }
-      BeginSource(source);
-      for (uint32_t t = 0; t < theta; ++t) {
-        Rng rng(RrSampleSeed(seed, uint64_t{source} * theta + t));
-        SampleAndWalk(rng, pairs, /*cache=*/nullptr);
-      }
-    }
-    return StatusCode::kOk;
-  }
-
  private:
   const Dendrogram* dendrogram_;
   const LcaIndex* lca_;
@@ -227,10 +188,10 @@ class TreeHfsSampler {
 
 // Error for a build aborted with the (non-ok) budget code recorded at the
 // check site — never re-polls the budget, which may have changed since.
-Status BudgetStatus(StatusCode code, const char* what) {
+Status BudgetStatus(StatusCode code) {
   return code == StatusCode::kCancelled
-             ? Status::Cancelled(std::string(what) + " cancelled")
-             : Status::Timeout(std::string(what) + " deadline exceeded");
+             ? Status::Cancelled("HIMOR build cancelled")
+             : Status::Timeout("HIMOR build deadline exceeded");
 }
 
 // Member-set fingerprint of a leaf. Internal vertices sum (mod 2^64) their
@@ -302,9 +263,9 @@ HimorIndex::BucketTable HimorIndex::BuildBuckets(
 // Stage 2 core, templated over the bucket-item source: `items_of(c, emit)`
 // must call emit(node, count) once per aggregated bucket item of community
 // c (non-leaf communities only; emission order within a bucket is free —
-// `updated` is re-sorted and the accumulators commute). Build (and the delta
-// builder's dense path) feed it a BucketTable; the delta builder's sparse
-// path feeds it the fingerprint-keyed rows it maintains incrementally.
+// `updated` is re-sorted and the accumulators commute). Cold builds and the
+// incremental path's dense branch feed it a BucketTable; the sparse branch
+// feeds it the fingerprint-keyed rows it maintains incrementally.
 template <typename ItemsOf>
 HimorIndex HimorIndex::BuildFromItems(
     const Dendrogram& dendrogram, uint32_t max_rank, ItemsOf&& items_of,
@@ -429,92 +390,14 @@ HimorIndex HimorIndex::BuildFromItems(
   return index;
 }
 
-// Stage 2 over a BucketTable.
-HimorIndex HimorIndex::BuildFromBuckets(
-    const Dendrogram& dendrogram, uint32_t max_rank,
-    const BucketTable& buckets,
-    const std::vector<uint32_t>* comp_size_of_node,
-    CoverageSketchBuilder* sketch) {
-  return BuildFromItems(
-      dendrogram, max_rank,
-      [&buckets](CommunityId c, auto&& emit) {
-        for (size_t i = buckets.item_begin[c]; i < buckets.item_begin[c + 1];
-             ++i) {
-          emit(buckets.node[i], buckets.count[i]);
-        }
-      },
-      comp_size_of_node, sketch);
-}
-
 Result<HimorIndex> HimorIndex::Build(
     const DiffusionModel& model, const Dendrogram& dendrogram,
     const LcaIndex& lca, uint32_t theta, uint64_t seed, uint32_t max_rank,
     const Budget& budget, const std::vector<uint32_t>* comp_size_of_node,
-    size_t num_threads, uint32_t sketch_bits,
-    std::optional<CoverageSketchIndex>* sketch) {
-  COD_CHECK(theta > 0);
-  COD_CHECK(max_rank > 0);
-  const size_t n = model.graph().NumNodes();
-  COD_CHECK_EQ(n, dendrogram.NumLeaves());
-  if (comp_size_of_node != nullptr) {
-    COD_CHECK_EQ(n, comp_size_of_node->size());
-  }
-  if (sketch != nullptr) sketch->reset();
-  if (COD_FAILPOINT("himor/build")) {
-    return Status::IoError("failpoint himor/build armed");
-  }
-
-  // Fixed batching (independent of thread count) over the source-keyed
-  // sample schedule makes the result a pure function of (seed, theta):
-  // running with 1 or 16 threads produces the identical index, and it is
-  // byte-identical to a cold BuildDelta at the same seed.
-  const size_t num_batches = std::min<size_t>(64, n);
-  std::vector<std::vector<std::pair<CommunityId, NodeId>>> batch_pairs(
-      num_batches);
-  std::atomic<int> abort_code{0};
-  const auto run_batch = [&](size_t b) {
-    TreeHfsSampler worker(model, dendrogram, lca);
-    const NodeId begin = static_cast<NodeId>(b * n / num_batches);
-    const NodeId end = static_cast<NodeId>((b + 1) * n / num_batches);
-    worker.ProcessSources(begin, end, theta, seed, &batch_pairs[b], budget,
-                          &abort_code);
-  };
-  if (num_threads == 1) {
-    for (size_t b = 0; b < num_batches; ++b) run_batch(b);
-  } else {
-    // A build-local scheduler: index construction owns its threads for the
-    // duration (callers embedding the build in a serving process submit the
-    // whole build as one rebuild-priority task on the serving scheduler).
-    TaskScheduler scheduler(num_threads);
-    TaskGroup group(scheduler);
-    for (size_t b = 0; b < num_batches; ++b) {
-      scheduler.Submit(TaskPriority::kRebuild, group, [&, b] { run_batch(b); });
-    }
-    group.Wait();
-  }
-  const int aborted = abort_code.load(std::memory_order_relaxed);
-  if (aborted != 0) {
-    // Budget failures are all-or-nothing: partial batches are discarded so a
-    // successful build is always the same deterministic index.
-    return BudgetStatus(static_cast<StatusCode>(aborted), "HIMOR build");
-  }
-  std::vector<std::pair<CommunityId, NodeId>> pairs;
-  {
-    size_t total = 0;
-    for (const auto& batch : batch_pairs) total += batch.size();
-    pairs.reserve(total);
-    for (const auto& batch : batch_pairs) {
-      pairs.insert(pairs.end(), batch.begin(), batch.end());
-    }
-  }
-  std::optional<CoverageSketchBuilder> sb =
-      MaybeSketchBuilder(dendrogram, seed, theta, max_rank, sketch_bits,
-                         sketch);
-  const BucketTable buckets = BuildBuckets(pairs, dendrogram.NumVertices(), n);
-  HimorIndex index = BuildFromBuckets(dendrogram, max_rank, buckets,
-                                      comp_size_of_node, sb ? &*sb : nullptr);
-  if (sb) *sketch = sb->Finish();
-  return index;
+    uint32_t sketch_bits, std::optional<CoverageSketchIndex>* sketch) {
+  return BuildDelta(model, dendrogram, lca, theta, seed, max_rank, budget,
+                    comp_size_of_node, /*dirty=*/nullptr, /*prev=*/nullptr,
+                    /*next=*/nullptr, /*stats=*/nullptr, sketch_bits, sketch);
 }
 
 Result<HimorIndex> HimorIndex::BuildDelta(
@@ -528,8 +411,8 @@ Result<HimorIndex> HimorIndex::BuildDelta(
   COD_CHECK(max_rank > 0);
   const size_t n = model.graph().NumNodes();
   COD_CHECK_EQ(n, dendrogram.NumLeaves());
-  COD_CHECK(next != nullptr);
-  COD_CHECK(next != prev);
+  // Carry is recorded only into `next`, and reuse needs somewhere to put it.
+  COD_CHECK(next == nullptr ? prev == nullptr : next != prev);
   if (comp_size_of_node != nullptr) {
     COD_CHECK_EQ(n, comp_size_of_node->size());
   }
@@ -539,21 +422,7 @@ Result<HimorIndex> HimorIndex::BuildDelta(
   }
 
   const uint64_t num_samples = uint64_t{n} * theta;
-
-  // `next` is valid only once the build fully succeeds.
-  next->valid = false;
-  next->theta = theta;
-  next->seed = seed;
-  next->max_rank = max_rank;
-  next->num_leaves = n;
-  next->rr.Clear();
-  next->rows.clear();
-  next->pair_begin.clear();
-  next->pair_begin.reserve(num_samples + 1);
-  next->pair_begin.push_back(0);
-  next->pair_pos.clear();
-  next->pair_tag.clear();
-  next->pair_node.clear();
+  const size_t num_vertices = dendrogram.NumVertices();
 
   // A previous-epoch cache is only consulted when it was produced by the
   // same (theta, seed, max_rank) schedule on a same-sized graph, together
@@ -569,23 +438,39 @@ Result<HimorIndex> HimorIndex::BuildDelta(
       prev->pair_begin.size() == num_samples + 1 && !prev->rows.empty() &&
       dirty != nullptr && dirty->size() == n;
 
-  // New dendrogram shape + member-set fingerprints: carried in `next` for
-  // the following epoch, and matched against `prev`'s below.
-  const size_t num_vertices = dendrogram.NumVertices();
-  next->parent.resize(num_vertices);
-  next->set_hash.resize(num_vertices);
-  next->set_size.resize(num_vertices);
-  for (CommunityId c = 0; c < num_vertices; ++c) {
-    next->parent[c] = dendrogram.Parent(c);
-    next->set_size[c] = dendrogram.LeafCount(c);
-    if (dendrogram.IsLeaf(c)) {
-      next->set_hash[c] = LeafFingerprint(dendrogram.LeafNode(c));
-    } else {
-      uint64_t h = 0;
-      for (CommunityId child : dendrogram.Children(c)) {
-        h += next->set_hash[child];
+  if (next != nullptr) {
+    // `next` is valid only once the build fully succeeds.
+    next->valid = false;
+    next->theta = theta;
+    next->seed = seed;
+    next->max_rank = max_rank;
+    next->num_leaves = n;
+    next->rr.Clear();
+    next->rows.clear();
+    next->pair_begin.clear();
+    next->pair_begin.reserve(num_samples + 1);
+    next->pair_begin.push_back(0);
+    next->pair_pos.clear();
+    next->pair_tag.clear();
+    next->pair_node.clear();
+
+    // New dendrogram shape + member-set fingerprints: carried in `next` for
+    // the following epoch, and matched against `prev`'s below.
+    next->parent.resize(num_vertices);
+    next->set_hash.resize(num_vertices);
+    next->set_size.resize(num_vertices);
+    for (CommunityId c = 0; c < num_vertices; ++c) {
+      next->parent[c] = dendrogram.Parent(c);
+      next->set_size[c] = dendrogram.LeafCount(c);
+      if (dendrogram.IsLeaf(c)) {
+        next->set_hash[c] = LeafFingerprint(dendrogram.LeafNode(c));
+      } else {
+        uint64_t h = 0;
+        for (CommunityId child : dendrogram.Children(c)) {
+          h += next->set_hash[child];
+        }
+        next->set_hash[c] = h;
       }
-      next->set_hash[c] = h;
     }
   }
 
@@ -593,51 +478,62 @@ Result<HimorIndex> HimorIndex::BuildDelta(
   HimorDeltaStats tally;
   tally.samples_total = num_samples;
 
-  // Converts a freshly aggregated bucket table into the fingerprint-keyed
-  // rows the next delta build carries forward (cold builds, and incremental
-  // builds whose delta volume makes re-aggregation the cheaper move).
-  const auto rows_from_buckets = [&](const BucketTable& buckets) {
-    next->rows.clear();
-    for (CommunityId c = 0; c < num_vertices; ++c) {
-      const size_t ib = buckets.item_begin[c];
-      const size_t ie = buckets.item_begin[c + 1];
-      if (ib == ie) continue;
-      HimorSampleCache::BucketRow& row = next->rows[next->set_hash[c]];
-      row.node.insert(row.node.end(), buckets.node.begin() + ib,
-                      buckets.node.begin() + ie);
-      row.count.insert(row.count.end(), buckets.count.begin() + ib,
-                       buckets.count.begin() + ie);
+  // Stage 2 over a freshly aggregated bucket table (cold builds, and
+  // incremental builds whose delta volume makes re-aggregation the cheaper
+  // move). With carry, the table also becomes the fingerprint-keyed rows
+  // the next delta build starts from.
+  const auto finish_from_buckets = [&](const BucketTable& buckets) {
+    if (next != nullptr) {
+      next->rows.clear();
+      for (CommunityId c = 0; c < num_vertices; ++c) {
+        const size_t ib = buckets.item_begin[c];
+        const size_t ie = buckets.item_begin[c + 1];
+        if (ib == ie) continue;
+        HimorSampleCache::BucketRow& row = next->rows[next->set_hash[c]];
+        row.node.insert(row.node.end(), buckets.node.begin() + ib,
+                        buckets.node.begin() + ie);
+        row.count.insert(row.count.end(), buckets.count.begin() + ib,
+                         buckets.count.begin() + ie);
+      }
+      next->valid = true;
     }
+    std::optional<CoverageSketchBuilder> sb = MaybeSketchBuilder(
+        dendrogram, seed, theta, max_rank, sketch_bits, sketch);
+    HimorIndex index = BuildFromItems(
+        dendrogram, max_rank,
+        [&buckets](CommunityId c, auto&& emit) {
+          for (size_t i = buckets.item_begin[c];
+               i < buckets.item_begin[c + 1]; ++i) {
+            emit(buckets.node[i], buckets.count[i]);
+          }
+        },
+        comp_size_of_node, sb ? &*sb : nullptr);
+    if (sb) *sketch = sb->Finish();
+    if (stats != nullptr) *stats = tally;
+    return index;
   };
 
   if (!reusable) {
-    // Cold build on the delta schedule: draw and walk everything, then
-    // aggregate buckets the batch way.
+    // Cold build: draw and walk every sample, then aggregate buckets in one
+    // pass. Budget failures are all-or-nothing — nothing partial is kept.
     std::vector<std::pair<CommunityId, NodeId>> pairs;
     for (NodeId source = 0; source < n; ++source) {
       const StatusCode budget_code = budget.ExhaustedCode();
       if (budget_code != StatusCode::kOk) {
-        return BudgetStatus(budget_code, "HIMOR delta build");
+        return BudgetStatus(budget_code);
       }
       worker.BeginSource(source);
       for (uint32_t j = 0; j < theta; ++j) {
         Rng rng(RrSampleSeed(seed, uint64_t{source} * theta + j));
         worker.SampleAndWalk(rng, &pairs, next);
-        next->rr.Append(worker.last_rr());
-        next->pair_begin.push_back(next->pair_node.size());
+        if (next != nullptr) {
+          next->rr.Append(worker.last_rr());
+          next->pair_begin.push_back(next->pair_node.size());
+        }
       }
     }
     tally.samples_resampled = num_samples;
-    const BucketTable buckets = BuildBuckets(pairs, num_vertices, n);
-    rows_from_buckets(buckets);
-    std::optional<CoverageSketchBuilder> sb = MaybeSketchBuilder(
-        dendrogram, seed, theta, max_rank, sketch_bits, sketch);
-    HimorIndex index = BuildFromBuckets(dendrogram, max_rank, buckets,
-                                        comp_size_of_node, sb ? &*sb : nullptr);
-    if (sb) *sketch = sb->Finish();
-    next->valid = true;
-    if (stats != nullptr) *stats = tally;
-    return index;
+    return finish_from_buckets(BuildBuckets(pairs, num_vertices, n));
   }
 
   // ---- Incremental path. ----
@@ -745,7 +641,7 @@ Result<HimorIndex> HimorIndex::BuildDelta(
   for (NodeId source = 0; source < n; ++source) {
     const StatusCode budget_code = budget.ExhaustedCode();
     if (budget_code != StatusCode::kOk) {
-      return BudgetStatus(budget_code, "HIMOR delta build");
+      return BudgetStatus(budget_code);
     }
     worker.BeginSource(source);
     const uint32_t new_len = worker.source_level();
@@ -1005,16 +901,7 @@ Result<HimorIndex> HimorIndex::BuildDelta(
                            next->pair_node[k]);
       }
     }
-    const BucketTable buckets = BuildBuckets(pairs, num_vertices, n);
-    rows_from_buckets(buckets);
-    std::optional<CoverageSketchBuilder> sb = MaybeSketchBuilder(
-        dendrogram, seed, theta, max_rank, sketch_bits, sketch);
-    HimorIndex index = BuildFromBuckets(dendrogram, max_rank, buckets,
-                                        comp_size_of_node, sb ? &*sb : nullptr);
-    if (sb) *sketch = sb->Finish();
-    next->valid = true;
-    if (stats != nullptr) *stats = tally;
-    return index;
+    return finish_from_buckets(BuildBuckets(pairs, num_vertices, n));
   }
 
   // Sparse case: carry the rows across and apply the delta. Stealing (not

@@ -16,20 +16,20 @@
 // sorted runs, producing every community's full ranking in
 // O(Theta*omega + |R| log |V| + sum_v dep(v)).
 //
-// Both builders draw sample (source, j) from the counter-seeded schedule
-// RrSampleSeed(seed, source * theta + j) — independent of epoch, thread
-// placement, and every other sample. That one schedule is what makes Build
-// thread-count independent and byte-identical to a cold BuildDelta, lets
-// BuildDelta reuse any subset of samples byte-identically, and lets the
-// coverage-sketch index (influence/coverage_sketch.h) prove query-time
-// pruning bounds against the very pool a pinned evaluation will draw.
+// There is one builder, BuildDelta; Build is its cold form with no carry.
+// Sample (source, j) is drawn from the counter-seeded schedule
+// RrSampleSeed(seed, source * theta + j) — independent of epoch and of
+// every other sample. That one schedule lets BuildDelta reuse any subset of
+// samples byte-identically, and lets the coverage-sketch index
+// (influence/coverage_sketch.h) prove query-time pruning bounds against the
+// very pool a pinned evaluation will draw.
 //
-// Incremental construction (BuildDelta, DESIGN.md Sec. 15): under a small
-// edge delta, most RR graphs and most of their hierarchical-first tags are
-// unchanged. BuildDelta reuses, per sample, as much of the previous
-// epoch's work as a dirty-vertex bitmap and a member-set comparison of the
-// two dendrograms prove safe. A delta build is bit-identical to a cold
-// BuildDelta on the same graph.
+// Incremental construction (DESIGN.md Sec. 15): under a small edge delta,
+// most RR graphs and most of their hierarchical-first tags are unchanged.
+// BuildDelta reuses, per sample, as much of the previous epoch's work as a
+// dirty-vertex bitmap and a member-set comparison of the two dendrograms
+// prove safe. A delta build is bit-identical to a cold build on the same
+// graph.
 
 #ifndef COD_CORE_HIMOR_H_
 #define COD_CORE_HIMOR_H_
@@ -120,10 +120,10 @@ class HimorIndex {
     uint32_t rank;  // number of members with strictly larger influence
   };
 
-  // Builds the index over `dendrogram` (which, with `model`'s graph and
-  // `lca`, must outlive the returned index's *construction* only — the index
-  // itself owns its data). `theta` RR graphs are sampled per node, sample
-  // (s, j) from RrSampleSeed(seed, s * theta + j).
+  // The one builder (paper Sec. IV-B, Theorem 6). Builds the index over
+  // `dendrogram` (which, with `model`'s graph and `lca`, must outlive the
+  // call only — the index owns its data). `theta` RR graphs are sampled per
+  // node, sample (s, j) from RrSampleSeed(seed, s * theta + j).
   //
   // `max_rank` implements the paper's "selected communities": only
   // (community, rank) pairs with rank < max_rank are materialized, since a
@@ -131,11 +131,6 @@ class HimorIndex {
   // ancestor means rank >= max_rank > k - 1). This keeps the index size near
   // the input data size even on skewed hierarchies; pass
   // std::numeric_limits<uint32_t>::max() to materialize every ancestor.
-  //
-  // Sources are split into a FIXED number of batches (independent of
-  // `num_threads`; 0 = hardware concurrency, 1 = run on the calling
-  // thread), so the index is a pure function of (seed, theta) for any
-  // thread count.
   //
   // `comp_size_of_node` (v's connected-component size, from
   // graph::ConnectedComponents; nullptr = materialize everything, the mono
@@ -152,33 +147,18 @@ class HimorIndex {
   // Budget: an exhausted budget or an armed "himor/build" failpoint returns
   // kTimeout / kCancelled / kIoError instead of running unbounded. The
   // budget is polled once per source node (the per-source RR batch is the
-  // check interval); workers share an abort flag, so one worker's budget
-  // miss stops the others within a source. On failure nothing is returned —
-  // either the full deterministic index or an error, never a partial index.
+  // check interval). On failure nothing is returned — either the full
+  // deterministic index or an error, never a partial index.
   //
   // With sketch_bits > 0 and `sketch` non-null, *sketch receives a
   // CoverageSketchIndex built from the very same RR samples and bucket
   // runs, at seed = `seed`. An armed "influence/sketch_build" failpoint (or
   // sketch_bits == 0) leaves *sketch empty while the index itself still
   // builds — sketch loss degrades pruning, never correctness.
-  static Result<HimorIndex> Build(
-      const DiffusionModel& model, const Dendrogram& dendrogram,
-      const LcaIndex& lca, uint32_t theta, uint64_t seed,
-      uint32_t max_rank = 16, const Budget& budget = {},
-      const std::vector<uint32_t>* comp_size_of_node = nullptr,
-      size_t num_threads = 1, uint32_t sketch_bits = 0,
-      std::optional<CoverageSketchIndex>* sketch = nullptr);
-
-  // Incremental builder (the delta-rebuild serving mode). Samples on the
-  // same counter-seeded schedule RrSampleSeed(seed, s * theta + j) as
-  // Build — delta mode still joins the service options fingerprint
-  // because the serving layer derives the SEED VALUE differently per epoch
-  // (seed + ticket vs a ticket-seeded rng draw; see
-  // ServiceOptions::delta_rebuild). With prev == nullptr (or an unusable
-  // cache) every sample is drawn fresh: the cold build, byte-identical to
-  // Build at the same seed. With a valid `prev` plus the `dirty`
-  // bitmap of vertices incident to any edge changed since prev's epoch,
-  // each sample takes the cheapest sound tier:
+  //
+  // Incremental construction (the delta-rebuild serving mode): with a valid
+  // `prev` plus the `dirty` bitmap of vertices incident to any edge changed
+  // since prev's epoch, each sample takes the cheapest sound tier:
   //
   //   1. resample — some visited vertex is dirty; redraw from the sample's
   //      own seed and re-walk (identical to what the cold build does);
@@ -189,22 +169,34 @@ class HimorIndex {
   //      reference is member-set-preserved at a consecutively shifted new
   //      position; the cached (pos, node) pairs are emitted directly.
   //
-  // The produced index is bit-identical to the prev == nullptr build on the
-  // same graph (the delta-vs-cold equivalence suite pins this; set
-  // fingerprints have a ~2^-60 collision risk, see DESIGN.md Sec. 15).
-  // `next` (required, != prev) receives the carry state for the following
-  // epoch; it is valid only when the build returns Ok. A SUCCESSFUL build
-  // consumes prev->rows (the bucket carry is moved, not copied — prev is
-  // retired by the caller's double-buffer flip anyway); a failed build
-  // leaves `prev` fully reusable.
-  // `comp_size_of_node` enables Build's component-pure materialization
-  // (nullptr = materialize everything, the mono behavior).
+  // With prev == nullptr (or an unusable cache) every sample is drawn
+  // fresh: the cold build. The produced index is bit-identical to the cold
+  // build on the same graph and seed (the delta-vs-cold equivalence suite
+  // pins this; set fingerprints have a ~2^-60 collision risk, see DESIGN.md
+  // Sec. 15).
+  //
+  // Carry: a non-null `next` (!= prev) receives the carry state for the
+  // following epoch; it is valid only when the build returns Ok. With
+  // next == nullptr no carry is recorded at all (no RR slab, pair arrays or
+  // rows), and `prev` must be null too. A SUCCESSFUL build consumes
+  // prev->rows (the bucket carry is moved, not copied — prev is retired by
+  // the caller's double-buffer flip anyway); a failed build leaves `prev`
+  // fully reusable. `stats` (nullable) receives the per-tier sample counts.
   static Result<HimorIndex> BuildDelta(
       const DiffusionModel& model, const Dendrogram& dendrogram,
       const LcaIndex& lca, uint32_t theta, uint64_t seed, uint32_t max_rank,
       const Budget& budget, const std::vector<uint32_t>* comp_size_of_node,
       const std::vector<char>* dirty, HimorSampleCache* prev,
       HimorSampleCache* next, HimorDeltaStats* stats,
+      uint32_t sketch_bits = 0,
+      std::optional<CoverageSketchIndex>* sketch = nullptr);
+
+  // The cold build without carry: BuildDelta with null dirty/prev/next.
+  static Result<HimorIndex> Build(
+      const DiffusionModel& model, const Dendrogram& dendrogram,
+      const LcaIndex& lca, uint32_t theta, uint64_t seed,
+      uint32_t max_rank = 16, const Budget& budget = {},
+      const std::vector<uint32_t>* comp_size_of_node = nullptr,
       uint32_t sketch_bits = 0,
       std::optional<CoverageSketchIndex>* sketch = nullptr);
 
@@ -254,12 +246,11 @@ class HimorIndex {
       std::span<const std::pair<CommunityId, NodeId>> pairs,
       size_t num_vertices, size_t num_nodes);
 
-  // Stage 2 (bottom-up bucket merging), shared by all builders. When
-  // `comp_size_of_node` is non-null, only pure communities (see Build)
-  // are materialized into per-node entries. `items_of(c, emit)` supplies the
-  // aggregated bucket items of non-leaf community c in any order;
-  // BuildFromBuckets adapts a BucketTable onto it, the delta builder its
-  // incrementally maintained fingerprint-keyed rows. A non-null `sketch`
+  // Stage 2 (bottom-up bucket merging). When `comp_size_of_node` is
+  // non-null, only pure communities (see BuildDelta) are materialized into
+  // per-node entries. `items_of(c, emit)` supplies the aggregated bucket
+  // items of non-leaf community c in any order: a BucketTable's, or the
+  // incremental path's fingerprint-keyed rows. A non-null `sketch`
   // observes every community's bucket run, merged run, and (for
   // materialized communities) member counts — the coverage-sketch build
   // rides stage 2 instead of re-walking anything.
@@ -267,12 +258,6 @@ class HimorIndex {
   static HimorIndex BuildFromItems(
       const Dendrogram& dendrogram, uint32_t max_rank, ItemsOf&& items_of,
       const std::vector<uint32_t>* comp_size_of_node,
-      CoverageSketchBuilder* sketch = nullptr);
-
-  static HimorIndex BuildFromBuckets(
-      const Dendrogram& dendrogram, uint32_t max_rank,
-      const BucketTable& buckets,
-      const std::vector<uint32_t>* comp_size_of_node = nullptr,
       CoverageSketchBuilder* sketch = nullptr);
 
   uint32_t max_rank_ = 0;

@@ -17,7 +17,7 @@
 //
 // The builder is pure bookkeeping over those hooks: signatures merge with
 // the associative/commutative bottom-k union (counter-seeded SketchNodeRank,
-// so serial, task-parallel, and delta builds agree bit-for-bit), and
+// so cold and delta builds agree bit-for-bit), and
 // Finish() packs the CSR index. Thresholds/signatures are emitted only for
 // MATERIALIZED communities — the only ones HIMOR ranks and the only ones a
 // chain level can name.

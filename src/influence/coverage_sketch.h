@@ -25,9 +25,8 @@
 //
 // Signatures use a COUNTER-SEEDED rank schedule: a node's 64-bit rank is a
 // pure function of (schedule_seed, node), so unions are associative and
-// commutative, parallel bottom-up merges are bit-identical to serial ones,
-// and delta rebuilds that re-sketch only dirty components reproduce clean
-// components byte-for-byte.
+// commutative, and delta rebuilds that re-sketch only dirty components
+// reproduce clean components byte-for-byte.
 
 #ifndef COD_INFLUENCE_COVERAGE_SKETCH_H_
 #define COD_INFLUENCE_COVERAGE_SKETCH_H_

@@ -328,48 +328,28 @@ Result<DynamicCodService::EpochBuild> DynamicCodService::BuildEpochCore(
                     static_cast<NodeId>(key % num_nodes_), weight);
   }
   auto graph = std::make_shared<const Graph>(std::move(builder).Build());
-  if (options_.delta_rebuild) {
-    // The delta schedule ignores the ticket number by design (see
-    // BuildEpochCoreDelta); build_index still matters for publication
-    // bookkeeping, which the callers own.
-    return BuildEpochCoreDelta(std::move(graph));
-  }
-  auto core = std::make_shared<EngineCore>(graph, attrs_, options_.engine);
-  // Per-ticket deterministic schedule seed (failed tickets are consumed).
-  const Budget budget{options_.rebuild_budget_seconds > 0.0
-                          ? Deadline::After(options_.rebuild_budget_seconds)
-                          : Deadline::Infinite()};
-  Status himor =
-      core->TryBuildHimor(Rng(options_.seed + build_index).Next(), budget);
-  if (!himor.ok()) {
-    if (!options_.publish_without_index) return himor;
-    // Degraded publication: the graph and hierarchy built fine, only the
-    // index ran over budget (or hit "himor/build"). Fresh answers without
-    // index acceleration beat fast answers over a stale graph — publish
-    // index-absent and let a later rebuild restore the index.
-    core->MarkIndexAbsent();
-    return EpochBuild{std::shared_ptr<const EngineCore>(std::move(core)),
-                      /*degraded=*/true};
-  }
-  return EpochBuild{std::shared_ptr<const EngineCore>(std::move(core)),
-                    /*degraded=*/false};
-}
 
-Result<DynamicCodService::EpochBuild> DynamicCodService::BuildEpochCoreDelta(
-    std::shared_ptr<const Graph> graph) {
+  // Both modes run the same counter-seeded builders and differ in two
+  // things only. The schedule seed: delta mode keeps options_.seed
+  // constant, so cached RR bytes equal what resampling would produce this
+  // epoch; the full-rebuild mode draws a per-ticket seed (failed tickets are
+  // consumed). And the carry: only delta mode keeps the double-buffered
+  // replay / sample caches.
+  const bool delta = options_.delta_rebuild;
+  const uint64_t seed =
+      delta ? options_.seed : Rng(options_.seed + build_index).Next();
   const RebuildSites& rm = RebuildMetrics();
-  rm.delta_attempts->Increment();
-
+  if (delta) rm.delta_attempts->Increment();
   const int cur = delta_cur_;
   const int nxt = cur < 0 ? 0 : 1 - cur;
 
-  // Decide reuse vs cold. A cold delta build runs the exact same
-  // counter-seeded schedule with no previous cache, so both paths answer
-  // bit-identically — the choice is latency-only. Fallbacks count only
-  // decisions where a base existed but was not used; the very first build
-  // (no base at all) is just a cold build.
-  bool use_prev =
-      cur >= 0 && sample_cache_[cur].valid && cluster_replay_[cur].valid;
+  // Decide reuse vs cold. A cold build runs the exact same counter-seeded
+  // schedule with no previous cache, so both paths answer bit-identically —
+  // the choice is latency-only. Fallbacks count only decisions where a base
+  // existed but was not used; the very first build (no base at all) is just
+  // a cold build.
+  bool use_prev = delta && cur >= 0 && sample_cache_[cur].valid &&
+                  cluster_replay_[cur].valid;
   if (use_prev) {
     if (COD_FAILPOINT("core/delta_rebuild")) {
       use_prev = false;
@@ -408,15 +388,12 @@ Result<DynamicCodService::EpochBuild> DynamicCodService::BuildEpochCoreDelta(
                           : Deadline::Infinite()};
   for (;;) {
     const std::vector<char>* dirty = use_prev ? &dirty_since_cache_ : nullptr;
-    const ClusterReplay* replay_prev =
-        use_prev ? &cluster_replay_[cur] : nullptr;
-    HimorSampleCache* cache_prev = use_prev ? &sample_cache_[cur] : nullptr;
-
-    // Clustering runs unbudgeted, matching the cold EngineCore constructor;
-    // the rebuild budget bounds the HIMOR build, which dominates.
-    Result<Dendrogram> hierarchy =
-        AgglomerativeClusterDelta(*graph, AgglomerativeOptions{}, Budget{},
-                                  dirty, replay_prev, &cluster_replay_[nxt]);
+    // Clustering runs unbudgeted; the rebuild budget bounds the HIMOR build,
+    // which dominates.
+    Result<Dendrogram> hierarchy = AgglomerativeClusterDelta(
+        *graph, AgglomerativeOptions{}, Budget{}, dirty,
+        use_prev ? &cluster_replay_[cur] : nullptr,
+        delta ? &cluster_replay_[nxt] : nullptr);
     COD_CHECK(hierarchy.ok());  // an unlimited budget never aborts
     Result<std::unique_ptr<EngineCore>> made = EngineCore::FromPrebuilt(
         graph, attrs_, options_.engine, std::move(hierarchy).value(),
@@ -425,19 +402,18 @@ Result<DynamicCodService::EpochBuild> DynamicCodService::BuildEpochCoreDelta(
     if (!made.ok()) return made.status();
     std::shared_ptr<EngineCore> core(std::move(made).value());
 
-    // Constant seed: the delta schedule derives every sample's stream from
-    // (seed, source, j) alone — NOT from the rebuild ticket — so cached RR
-    // bytes equal what resampling would produce this epoch.
     HimorDeltaStats dstats;
-    const Status himor =
-        core->TryBuildHimorDelta(options_.seed, budget, dirty, cache_prev,
-                                 &sample_cache_[nxt], &dstats);
+    const Status himor = core->TryBuildHimorDelta(
+        seed, budget, dirty, use_prev ? &sample_cache_[cur] : nullptr,
+        delta ? &sample_cache_[nxt] : nullptr, &dstats);
     if (himor.ok()) {
-      rm.delta_samples_reused->Increment(dstats.samples_reused);
-      rm.delta_samples_replayed->Increment(dstats.samples_replayed);
-      rm.delta_samples_resampled->Increment(dstats.samples_resampled);
-      delta_cur_ = nxt;
-      std::fill(dirty_since_cache_.begin(), dirty_since_cache_.end(), 0);
+      if (delta) {
+        rm.delta_samples_reused->Increment(dstats.samples_reused);
+        rm.delta_samples_replayed->Increment(dstats.samples_replayed);
+        rm.delta_samples_resampled->Increment(dstats.samples_resampled);
+        delta_cur_ = nxt;
+        std::fill(dirty_since_cache_.begin(), dirty_since_cache_.end(), 0);
+      }
       return EpochBuild{std::shared_ptr<const EngineCore>(std::move(core)),
                         /*degraded=*/false};
     }
@@ -452,9 +428,12 @@ Result<DynamicCodService::EpochBuild> DynamicCodService::BuildEpochCoreDelta(
       continue;
     }
     if (!options_.publish_without_index) return himor;
-    // Degraded publication, as in the non-delta path. The caches do NOT
-    // advance: the next rebuild deltas from the last fully indexed epoch,
-    // with dirty_since_cache_ still covering everything since then.
+    // Degraded publication: the graph and hierarchy built fine, only the
+    // index ran over budget (or hit "himor/build"). Fresh answers without
+    // index acceleration beat fast answers over a stale graph — publish
+    // index-absent and let a later rebuild restore the index. The caches
+    // do NOT advance: the next rebuild deltas from the last fully indexed
+    // epoch, with dirty_since_cache_ still covering everything since then.
     core->MarkIndexAbsent();
     return EpochBuild{std::shared_ptr<const EngineCore>(std::move(core)),
                       /*degraded=*/true};

@@ -243,23 +243,22 @@ class DynamicCodService : public CodServiceInterface {
   bool RebuildInFlightLocked() const {
     return attempt_running_ || retry_.has_value();
   }
-  // Builds an epoch core from an edge snapshot. Runs on the single-flight
-  // build ticket with no locks held; non-const because delta mode advances
-  // the ticket-owned reuse caches below. Fails on the
+  // Builds an epoch core from an edge snapshot: graph ->
+  // AgglomerativeClusterDelta -> FromPrebuilt -> TryBuildHimorDelta. Runs
+  // on the single-flight build ticket with no locks held; non-const because
+  // delta mode advances the ticket-owned reuse caches below. Delta mode
+  // replays clean dendrogram components and reuses clean RR samples against
+  // dirty_since_cache_ (see HimorIndex::BuildDelta), and builds cold — same
+  // counter-seeded schedule, no reuse, bit-identical answers — when there
+  // is no base cache, the invalidated-sample fraction exceeds
+  // delta_max_dirty_fraction, the "core/delta_rebuild" failpoint is armed,
+  // or a reuse attempt fails with a non-budget error. The full-rebuild mode
+  // is that cold build with a per-ticket seed and no carry. Fails on the
   // "dynamic_service/rebuild" failpoint or — unless publish_without_index
   // turns it into a degraded success — an over-budget / failpointed HIMOR
   // build.
   Result<EpochBuild> BuildEpochCore(const EdgeMap& edges,
                                     uint64_t build_index);
-  // Delta-mode tail of BuildEpochCore: replays clean dendrogram components
-  // and reuses clean RR samples against dirty_since_cache_ (see
-  // HimorIndex::BuildDelta). Falls back to a cold build — same
-  // counter-seeded schedule, no reuse, bit-identical answers — when there
-  // is no base cache, the estimated invalidated-sample fraction exceeds
-  // delta_max_dirty_fraction,
-  // the "core/delta_rebuild" failpoint is armed, or a reuse attempt fails
-  // with a non-budget error.
-  Result<EpochBuild> BuildEpochCoreDelta(std::shared_ptr<const Graph> graph);
   // Folds dirty_pending_ into dirty_since_cache_ and clears it. Called at
   // build capture (mu_ held, this thread owns the ticket); the fold is a
   // union, so a ticket that fails and is re-captured stays correct.

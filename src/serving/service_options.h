@@ -85,15 +85,16 @@ struct ServiceOptions {
   std::string snapshot_dir;
   size_t snapshots_keep = 2;
 
-  // Incremental epoch rebuilds. When true, every rebuild (including the
-  // first) runs on the counter-seeded per-sample schedule
-  // RrSampleSeed(seed, source * theta + j) — the SAME seeds every epoch —
-  // and a rebuild after update batches reuses the previous epoch's RR
-  // samples, dendrogram merges, and hierarchical-first tags wherever the
-  // dirty-vertex bitmap proves them untouched (see HimorIndex::BuildDelta).
-  // Delta-rebuilt epochs are bit-identical to cold rebuilds on the same
-  // graph, but the schedule differs from the non-delta mode's
-  // seed-plus-ticket streams, so this flag joins the fingerprint.
+  // Incremental epoch rebuilds. Both modes run one epoch-build path on the
+  // counter-seeded per-sample schedule RrSampleSeed(seed', source * theta +
+  // j); the flag selects only two things. The schedule seed: seed' = seed
+  // every epoch when true, Rng(seed + rebuild ticket).Next() when false.
+  // The carry: when true, a rebuild after update batches reuses the
+  // previous epoch's RR samples, dendrogram merges, and hierarchical-first
+  // tags wherever the dirty-vertex bitmap proves them untouched (see
+  // HimorIndex::BuildDelta). Delta-rebuilt epochs are bit-identical to
+  // cold rebuilds on the same graph, but the seed differs from the
+  // non-delta mode's per-ticket seeds, so this flag joins the fingerprint.
   bool delta_rebuild = false;
   // Fall back to a full (cold) rebuild when the fraction of cached RR
   // samples invalidated by the batch exceeds this bound. A sample dies if

@@ -339,6 +339,56 @@ TEST(DynamicServiceTest, RebuildFailureKeepsServingOldEpoch) {
   EXPECT_NE(service.engine().graph().FindEdge(0, 150), kInvalidEdge);
 }
 
+std::string HimorBytes(const EngineCore& core) {
+  BinaryBufferWriter w;
+  EXPECT_NE(core.himor(), nullptr);
+  if (core.himor() != nullptr) core.himor()->SerializeTo(w);
+  return std::move(w).TakeBytes();
+}
+
+std::string SketchBytes(const EngineCore& core) {
+  BinaryBufferWriter w;
+  EXPECT_NE(core.sketch(), nullptr);
+  if (core.sketch() != nullptr) core.sketch()->SerializeTo(w);
+  return std::move(w).TakeBytes();
+}
+
+// The full-rebuild mode publishes exactly what a cold core on the epoch's
+// graph builds with the per-ticket seed Rng(seed + ticket).Next(). Ticket 1
+// fails on the rebuild failpoint and is consumed, so the next publish is
+// ticket 2's.
+TEST(DynamicServiceTest, FullRebuildEpochsUsePerTicketSeeds) {
+  World w = MakeWorld(31);
+  ServiceOptions options = SmallOptions(10.0);
+  options.engine.sketch_bits = 6;
+  DynamicCodService service(std::move(w.graph), std::move(w.attrs), options);
+  const auto cold_bytes = [&](const EngineCore& published, uint64_t ticket) {
+    EngineCore cold(published.graph(), published.attributes(),
+                    options.engine);
+    EXPECT_TRUE(cold.TryBuildHimor(Rng(options.seed + ticket).Next()).ok());
+    return HimorBytes(cold) + SketchBytes(cold);
+  };
+
+  const DynamicCodService::EpochSnapshot first = service.Snapshot();
+  EXPECT_EQ(HimorBytes(*first.core) + SketchBytes(*first.core),
+            cold_bytes(*first.core, 0));
+
+  ASSERT_TRUE(service.AddEdge(0, 150));
+  ASSERT_TRUE(service.AddEdge(3, 120));
+  {
+    ScopedFailpoint fp("dynamic_service/rebuild", /*count=*/1);
+    EXPECT_FALSE(service.Refresh().ok());  // ticket 1, consumed
+  }
+  EXPECT_EQ(service.epoch(), 1u);
+  ASSERT_TRUE(service.Refresh().ok());  // ticket 2
+  ASSERT_EQ(service.epoch(), 2u);
+  const DynamicCodService::EpochSnapshot third = service.Snapshot();
+  const std::string published = HimorBytes(*third.core) +
+                                SketchBytes(*third.core);
+  EXPECT_EQ(published, cold_bytes(*third.core, 2));
+  EXPECT_NE(published, cold_bytes(*third.core, 1));
+}
+
 TEST(DynamicServiceTest, HimorFailureFailsRebuildWhenStrict) {
   World w = MakeWorld(12);
   ServiceOptions options = SmallOptions(10.0);

@@ -67,7 +67,7 @@ TEST(ParallelSamplingTest, QueryBitIdenticalAcrossSamplingModes) {
   EngineOptions options;
   options.theta = 8;
   EngineCore core(w.graph, w.attrs, options);
-  ASSERT_TRUE(core.TryBuildHimor(/*seed=*/7, {}, /*num_threads=*/2).ok());
+  ASSERT_TRUE(core.TryBuildHimor(/*seed=*/7).ok());
 
   TaskScheduler sched1(1);
   TaskScheduler sched8(8);
@@ -129,7 +129,7 @@ TEST(ParallelSamplingTest, BatchBitIdenticalAcrossThreadCountsWithScheduler) {
   EngineOptions options;
   options.theta = 6;
   EngineCore core(w.graph, w.attrs, options);
-  ASSERT_TRUE(core.TryBuildHimor(/*seed=*/9, {}, /*num_threads=*/2).ok());
+  ASSERT_TRUE(core.TryBuildHimor(/*seed=*/9).ok());
   const std::vector<QuerySpec> specs = MakeVariantSpecs(w, 16);
   const uint64_t batch_seed = 42;
 

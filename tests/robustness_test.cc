@@ -539,15 +539,20 @@ TEST(HimorBudgetTest, ExpiredBudgetFailsBothBuilders) {
   const Dendrogram d = AgglomerativeCluster(g);
   const LcaIndex lca(d);
   const DiffusionModel m = DiffusionModel::WeightedCascadeIc(g);
-  // The one builder, on the calling thread and on a 4-worker scheduler.
-  for (const size_t num_threads : {1u, 4u}) {
-    const Result<HimorIndex> built = HimorIndex::Build(
-        m, d, lca, 5, /*seed=*/2, 16, Budget{Deadline::After(0.0)},
-        /*comp_size_of_node=*/nullptr, num_threads);
-    ASSERT_FALSE(built.ok()) << "num_threads=" << num_threads;
-    EXPECT_EQ(built.status().code(), StatusCode::kTimeout)
-        << "num_threads=" << num_threads;
-  }
+  // The cold build without carry (Build) and with carry (BuildDelta).
+  const Result<HimorIndex> built =
+      HimorIndex::Build(m, d, lca, 5, /*seed=*/2, 16,
+                        Budget{Deadline::After(0.0)});
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), StatusCode::kTimeout);
+  HimorSampleCache next;
+  const Result<HimorIndex> delta = HimorIndex::BuildDelta(
+      m, d, lca, 5, /*seed=*/2, 16, Budget{Deadline::After(0.0)},
+      /*comp_size_of_node=*/nullptr, /*dirty=*/nullptr, /*prev=*/nullptr,
+      &next, /*stats=*/nullptr);
+  ASSERT_FALSE(delta.ok());
+  EXPECT_EQ(delta.status().code(), StatusCode::kTimeout);
+  EXPECT_FALSE(next.valid);
 }
 
 TEST(HimorBudgetTest, BuildFailpointFailsTheBuild) {

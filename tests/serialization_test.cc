@@ -2,6 +2,7 @@
 // epoch snapshot container embeds). Container-level integrity — every byte
 // flip and truncation of a whole snapshot file — is SnapshotCorruptionTest's.
 
+#include <cstring>
 #include <memory>
 #include <string>
 
@@ -193,6 +194,64 @@ TEST(EngineHimorIoTest, PrebuiltRejectsWrongGraph) {
       std::nullopt, /*index_absent_degraded=*/false);
   ASSERT_FALSE(e2.ok());
   EXPECT_EQ(e2.status().code(), StatusCode::kInvalidArgument);
+}
+
+// An index built under a smaller max_rank than the options promise would
+// abort a query with k in (index max_rank, options max_rank].
+TEST(EngineHimorIoTest, PrebuiltRejectsShallowerIndex) {
+  Rng rng(9);
+  auto graph = std::make_shared<const Graph>(
+      EnsureConnected(ErdosRenyi(60, 180, rng), rng));
+  AttributeTableBuilder ab;
+  ab.Add(0, "X");
+  auto attrs = std::make_shared<const AttributeTable>(std::move(ab).Build(60));
+  EngineCore writer(graph, attrs, {});
+  const HimorIndex shallow =
+      HimorIndex::Build(writer.model(), writer.base_hierarchy(),
+                        writer.base_lca(), /*theta=*/4, /*seed=*/10,
+                        /*max_rank=*/4)
+          .value();
+  Result<std::unique_ptr<EngineCore>> refused = EngineCore::FromPrebuilt(
+      graph, attrs, {}, AgglomerativeCluster(*graph), shallow, std::nullopt,
+      /*index_absent_degraded=*/false);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+
+  EngineOptions matching;
+  matching.himor_max_rank = 4;
+  EXPECT_TRUE(EngineCore::FromPrebuilt(graph, attrs, matching,
+                                       AgglomerativeCluster(*graph), shallow,
+                                       std::nullopt,
+                                       /*index_absent_degraded=*/false)
+                  .ok());
+}
+
+// An entry naming a community past the hierarchy's vertex count would read
+// out of bounds in Dendrogram::IsAncestorOrSelf.
+TEST(EngineHimorIoTest, PrebuiltRejectsCommunityOutsideHierarchy) {
+  Rng rng(11);
+  auto graph = std::make_shared<const Graph>(
+      EnsureConnected(ErdosRenyi(60, 180, rng), rng));
+  AttributeTableBuilder ab;
+  ab.Add(0, "X");
+  auto attrs = std::make_shared<const AttributeTable>(std::move(ab).Build(60));
+  EngineCore writer(graph, attrs, {});
+  ASSERT_TRUE(writer.TryBuildHimor(/*seed=*/12).ok());
+  ASSERT_GT(writer.himor()->NumEntries(), 0u);
+  // Entries are the payload's tail; the last entry's community field sits
+  // eight bytes from the end.
+  std::string bytes = IndexBytes(*writer.himor());
+  const uint32_t bad_community = 0xfffffff0u;
+  std::memcpy(bytes.data() + bytes.size() - 2 * sizeof(uint32_t),
+              &bad_community, sizeof(bad_community));
+  Result<HimorIndex> index = DecodeIndex(bytes);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  Result<std::unique_ptr<EngineCore>> refused = EngineCore::FromPrebuilt(
+      graph, attrs, {}, AgglomerativeCluster(*graph),
+      std::move(index).value(), std::nullopt,
+      /*index_absent_degraded=*/false);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
 }
 
 // The one file form left is the snapshot container's.

@@ -202,8 +202,8 @@ TEST(BottomKAlgebraTest, FullEstimatorTracksDistinctCardinality) {
 // Build identity and structural invariants.
 // ---------------------------------------------------------------------------
 
-// The one batch builder at 1 and 4 threads and a cold delta build write the
-// same HIMOR and sketch bytes, mono and component-scoped alike.
+// The cold build without carry and a cold delta build that records carry
+// write the same HIMOR and sketch bytes, mono and component-scoped alike.
 TEST(SketchBuildTest, SerialAndParallelBuildsBitIdentical) {
   const World w = MakeMultiComponentWorld(FuzzSeed(3));
   const uint64_t rng_seed = 77;
@@ -218,14 +218,12 @@ TEST(SketchBuildTest, SerialAndParallelBuildsBitIdentical) {
 
     EngineCore serial(w.graph, w.attrs, opts);
     Rng rng(rng_seed);
-    ASSERT_TRUE(serial.TryBuildHimor(rng.Next(), {}, 1).ok());
+    ASSERT_TRUE(serial.TryBuildHimor(rng.Next()).ok());
     ASSERT_NE(serial.sketch(), nullptr);
     EXPECT_EQ(serial.sketch()->schedule_seed(), schedule_seed);
     EXPECT_EQ(serial.sketch()->theta(), SketchOpts().theta);
     EXPECT_EQ(serial.sketch()->NumNodes(), w.graph.NumNodes());
 
-    EngineCore par4(w.graph, w.attrs, opts);
-    ASSERT_TRUE(par4.TryBuildHimor(schedule_seed, {}, 4).ok());
     EngineCore cold_delta(w.graph, w.attrs, opts);
     HimorSampleCache cache;
     HimorDeltaStats stats;
@@ -235,10 +233,8 @@ TEST(SketchBuildTest, SerialAndParallelBuildsBitIdentical) {
                     .ok());
 
     const std::string himor = HimorBytes(serial);
-    EXPECT_EQ(himor, HimorBytes(par4));
     EXPECT_EQ(himor, HimorBytes(cold_delta));
     const std::string sketch = SketchBytes(serial);
-    EXPECT_EQ(sketch, SketchBytes(par4));
     EXPECT_EQ(sketch, SketchBytes(cold_delta));
     if (scoped) {
       // Scoping matters on this world: impure communities are dropped.
@@ -315,8 +311,8 @@ TEST_P(SketchPruneTest, PruningNeverChangesExactAnswers) {
   off_opts.sketch_prune = false;
   EngineCore pruned(w.graph, w.attrs, SketchOpts());
   EngineCore plain(w.graph, w.attrs, off_opts);
-  ASSERT_TRUE(pruned.TryBuildHimor(seed + 1, {}, 2).ok());
-  ASSERT_TRUE(plain.TryBuildHimor(seed + 1, {}, 2).ok());
+  ASSERT_TRUE(pruned.TryBuildHimor(seed + 1).ok());
+  ASSERT_TRUE(plain.TryBuildHimor(seed + 1).ok());
   ASSERT_NE(pruned.sketch(), nullptr);
 
   size_t levels_pruned = 0;
@@ -390,7 +386,7 @@ TEST(SketchRungTest, ShedBatchBottomsOutInSketchRung) {
   // must equal a direct sketch query (the rung is deterministic — no rng).
   const World w = MakeWorld(FuzzSeed(62));
   EngineCore core(w.graph, w.attrs, SketchOpts());
-  ASSERT_TRUE(core.TryBuildHimor(17, {}, 2).ok());
+  ASSERT_TRUE(core.TryBuildHimor(17).ok());
   ASSERT_NE(core.sketch(), nullptr);
 
   std::vector<QuerySpec> specs;
@@ -432,7 +428,7 @@ TEST(SketchRungTest, RungAbsentWhenDisabledOrSketchless) {
   EngineOptions no_rung = SketchOpts();
   no_rung.sketch_rung = false;
   EngineCore core(w.graph, w.attrs, no_rung);
-  ASSERT_TRUE(core.TryBuildHimor(19, {}, 2).ok());
+  ASSERT_TRUE(core.TryBuildHimor(19).ok());
 
   std::vector<QuerySpec> specs;
   for (NodeId q = 0; q < 12; ++q) {
