@@ -179,8 +179,10 @@ void DynamicCodService::RegisterGauges() {
 
 Result<std::unique_ptr<DynamicCodService>> DynamicCodService::Recover(
     const ServiceOptions& options) {
-  COD_CHECK(options.Validate().ok());
-  COD_CHECK(!options.snapshot_dir.empty());
+  COD_RETURN_IF_ERROR(options.Validate());
+  if (options.snapshot_dir.empty()) {
+    return Status::InvalidArgument("recovery needs a snapshot_dir");
+  }
   auto store = std::make_unique<SnapshotStore>(
       SnapshotStore::Options{options.snapshot_dir, options.snapshots_keep});
   Result<SnapshotStore::LoadedSnapshot> loaded = store->LoadNewest();

@@ -127,7 +127,8 @@ class DynamicCodService : public CodServiceInterface {
   // kNotFound when no usable snapshot exists (cold-construct instead) and
   // kFailedPrecondition when the newest valid snapshot was written under a
   // different options fingerprint (seed, engine parameters, or sharding
-  // layout) — restoring it would silently change answers.
+  // layout) — restoring it would silently change answers. Options that fail
+  // Validate() or name no snapshot_dir return kInvalidArgument.
   static Result<std::unique_ptr<DynamicCodService>> Recover(
       const ServiceOptions& options);
 

@@ -126,7 +126,8 @@ std::unique_ptr<CodServiceInterface> MakeCodService(
 // additionally cold-rebuilds any INDIVIDUAL shard whose snapshots are
 // missing or exhausted by corruption, while warm-restoring the rest. A
 // snapshot whose options fingerprint disagrees with `options` fails with
-// kFailedPrecondition — restoring it would change answers.
+// kFailedPrecondition — restoring it would change answers. Options that
+// fail Validate() or name no snapshot_dir fail with kInvalidArgument.
 Result<std::unique_ptr<CodServiceInterface>> RecoverCodService(
     const ServiceOptions& options, Graph cold_graph, AttributeTable cold_attrs);
 

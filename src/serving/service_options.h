@@ -57,7 +57,12 @@ struct ServiceOptions {
   // stale epoch meanwhile. Without it the service never rebuilds on its
   // own — the owner polls RefreshDue() and calls Refresh().
   bool async_rebuild = false;
-  TaskScheduler* scheduler = nullptr;  // required iff async_rebuild
+  // The service's only thread pool, optional unless async_rebuild is set.
+  // When present it runs: async rebuilds (rebuild priority) and their retry
+  // timers (maintenance); snapshot writes (maintenance); and a sharded
+  // service's per-shard construction and Recover() (rebuild priority, one
+  // task per shard). Without it the last two run on the calling thread.
+  TaskScheduler* scheduler = nullptr;
 
   // Failed ASYNC rebuilds retry up to this many times (so up to
   // 1 + max_rebuild_retries attempts per ticket), waiting

@@ -11,7 +11,9 @@
 //   * a shard-wide deadline miss ("serving/shard_deadline") degrades that
 //     shard's slice deterministically instead of erroring the batch;
 //   * Recover() cold-rebuilds a shard whose snapshots are missing or
-//     corrupt while warm-restoring the others.
+//     corrupt while warm-restoring the others;
+//   * shard construction and Recover() give the same bytes, answers and
+//     statuses with no scheduler, one worker or four.
 //
 // CI runs this binary once per shard count (COD_SHARD_COUNT=1/2/4); when
 // the variable is set the cross-layout suites compare that layout against
@@ -23,12 +25,14 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/task_scheduler.h"
@@ -590,6 +594,178 @@ TEST(ShardedRecoveryTest, MonoSnapshotsNeverRestoreIntoShards) {
       sharded, std::move(cold.graph), std::move(cold.attrs));
   ASSERT_FALSE(recovered.ok());
   EXPECT_EQ(recovered.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(ShardedRecoveryTest, EmptySnapshotDirIsInvalidArgument) {
+  for (const uint32_t num_shards : {1u, 2u}) {
+    World cold = MakeMultiWorld(50, 2);
+    Result<std::unique_ptr<CodServiceInterface>> recovered =
+        RecoverCodService(BaseOptions(num_shards), std::move(cold.graph),
+                          std::move(cold.attrs));
+    ASSERT_FALSE(recovered.ok()) << "shards=" << num_shards;
+    EXPECT_EQ(recovered.status().code(), StatusCode::kInvalidArgument)
+        << "shards=" << num_shards;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Shard fan-out: construction and Recover() run one task per shard on
+// options.scheduler. Inline, one worker and four workers must be
+// indistinguishable.
+// ---------------------------------------------------------------------------
+
+constexpr size_t kFanOutWorkers[] = {0, 1, 4};  // 0 = no scheduler
+
+std::unique_ptr<TaskScheduler> FanOutScheduler(size_t workers) {
+  return workers == 0 ? nullptr : std::make_unique<TaskScheduler>(workers);
+}
+
+ServiceOptions FanOutOptions() {
+  ServiceOptions options = BaseOptions(4);
+  options.engine.sketch_bits = 6;
+  return options;
+}
+
+World FanOutWorld() { return MakeMultiWorld(70, 6); }
+
+// Everything a shard fan-out writes: per-shard HIMOR and sketch bytes and
+// epochs, plus the router's answers to `specs`.
+struct FanOutOutput {
+  std::vector<std::string> himor;
+  std::vector<std::string> sketch;
+  std::vector<uint64_t> epochs;
+  std::vector<CodResult> answers;
+};
+
+FanOutOutput Observe(ShardedCodService& service,
+                     const std::vector<QuerySpec>& specs) {
+  FanOutOutput out;
+  for (uint32_t s = 0; s < service.num_shards(); ++s) {
+    const EngineCore& core = service.shard(s).engine();
+    EXPECT_NE(core.himor(), nullptr) << "shard " << s;
+    EXPECT_NE(core.sketch(), nullptr) << "shard " << s;
+    BinaryBufferWriter himor;
+    BinaryBufferWriter sketch;
+    if (core.himor() != nullptr) core.himor()->SerializeTo(himor);
+    if (core.sketch() != nullptr) core.sketch()->SerializeTo(sketch);
+    out.himor.push_back(himor.TakeBytes());
+    out.sketch.push_back(sketch.TakeBytes());
+    out.epochs.push_back(service.shard(s).epoch());
+  }
+  TaskScheduler scheduler(2);
+  out.answers = service.QueryBatch(specs, scheduler, /*batch_seed=*/77);
+  return out;
+}
+
+void ExpectSameOutput(const FanOutOutput& got, const FanOutOutput& want,
+                      const std::string& label) {
+  EXPECT_TRUE(got.himor == want.himor) << label << ": HIMOR bytes differ";
+  EXPECT_TRUE(got.sketch == want.sketch) << label << ": sketch bytes differ";
+  EXPECT_EQ(got.epochs, want.epochs) << label;
+  ExpectSameResults(got.answers, want.answers, label);
+}
+
+std::vector<QuerySpec> FanOutSpecs() {
+  return MakeSpecs(FanOutWorld().attrs, 40, 71);
+}
+
+// Writes a 4-shard snapshot layout under `dir` from an inline-built service
+// and returns what that service observed before it was destroyed.
+FanOutOutput WriteFanOutLayout(const std::string& dir) {
+  ServiceOptions options = FanOutOptions();
+  options.snapshot_dir = dir;
+  World w = FanOutWorld();
+  ShardedCodService service(std::move(w.graph), std::move(w.attrs), options);
+  return Observe(service, FanOutSpecs());
+}
+
+// A fresh copy of `pristine` at `dir`: a recovery that cold-rebuilds a
+// shard writes new snapshots, so every configuration starts from the same
+// bytes on disk.
+void ResetLayout(const std::string& pristine, const std::string& dir) {
+  fs::remove_all(dir);
+  fs::copy(pristine, dir, fs::copy_options::recursive);
+}
+
+TEST(ShardFanOutTest, ConstructionIsIndependentOfWorkerCount) {
+  const std::vector<QuerySpec> specs = FanOutSpecs();
+  std::optional<FanOutOutput> reference;
+  for (const size_t workers : kFanOutWorkers) {
+    const std::unique_ptr<TaskScheduler> scheduler = FanOutScheduler(workers);
+    ServiceOptions options = FanOutOptions();
+    options.scheduler = scheduler.get();
+    World w = FanOutWorld();
+    ShardedCodService service(std::move(w.graph), std::move(w.attrs), options);
+    for (uint32_t s = 0; s < service.num_shards(); ++s) {
+      EXPECT_GT(service.partition().shard_nodes[s], 0u) << "shard " << s;
+    }
+    FanOutOutput got = Observe(service, specs);
+    if (!reference.has_value()) {
+      reference = std::move(got);
+      continue;
+    }
+    ExpectSameOutput(got, *reference, "workers=" + std::to_string(workers));
+  }
+}
+
+TEST(ShardFanOutTest, MixedWarmColdRecoverIsIndependentOfWorkerCount) {
+  const std::string pristine = FreshDir("fanout-mixed-pristine");
+  const std::string dir = FreshDir("fanout-mixed");
+  const FanOutOutput pre_crash = WriteFanOutLayout(pristine);
+  // Shard 0 recovers cold, shards 1-3 warm.
+  fs::remove_all(ShardedCodService::ShardSnapshotDir(pristine, 0));
+  const std::vector<QuerySpec> specs = FanOutSpecs();
+  for (const size_t workers : kFanOutWorkers) {
+    ResetLayout(pristine, dir);
+    const std::unique_ptr<TaskScheduler> scheduler = FanOutScheduler(workers);
+    ServiceOptions options = FanOutOptions();
+    options.snapshot_dir = dir;
+    options.scheduler = scheduler.get();
+    World cold = FanOutWorld();
+    Result<std::unique_ptr<ShardedCodService>> recovered =
+        ShardedCodService::Recover(options, std::move(cold.graph),
+                                   std::move(cold.attrs));
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    ExpectSameOutput(Observe(**recovered, specs), pre_crash,
+                     "workers=" + std::to_string(workers));
+  }
+}
+
+TEST(ShardFanOutTest, FingerprintMismatchRecoverIsIndependentOfWorkerCount) {
+  const std::string pristine = FreshDir("fanout-mismatch-pristine");
+  const std::string dir = FreshDir("fanout-mismatch");
+  WriteFanOutLayout(pristine);
+  // Shard 0 has no snapshot to load; shards 1-3 all hold snapshots of
+  // other options, and shard 1 must name the error.
+  fs::remove_all(ShardedCodService::ShardSnapshotDir(pristine, 0));
+  std::optional<Status> reference;
+  for (const size_t workers : kFanOutWorkers) {
+    ResetLayout(pristine, dir);
+    const std::unique_ptr<TaskScheduler> scheduler = FanOutScheduler(workers);
+    ServiceOptions tampered = FanOutOptions();
+    tampered.engine.k += 1;
+    tampered.snapshot_dir = dir;
+    tampered.scheduler = scheduler.get();
+    World cold = FanOutWorld();
+    Result<std::unique_ptr<ShardedCodService>> recovered =
+        ShardedCodService::Recover(tampered, std::move(cold.graph),
+                                   std::move(cold.attrs));
+    ASSERT_FALSE(recovered.ok()) << "workers=" << workers;
+    const Status& status = recovered.status();
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(status.message().find(ShardedCodService::ShardSnapshotDir(dir, 1)),
+              std::string::npos)
+        << status.ToString();
+    // Refused before any cold rebuild: shard 0 wrote no snapshot.
+    const std::string shard0 = ShardedCodService::ShardSnapshotDir(dir, 0);
+    EXPECT_TRUE(!fs::exists(shard0) || fs::is_empty(shard0));
+    if (!reference.has_value()) {
+      reference = status;
+      continue;
+    }
+    EXPECT_EQ(status.ToString(), reference->ToString())
+        << "workers=" << workers;
+  }
 }
 
 // ---------------------------------------------------------------------------
