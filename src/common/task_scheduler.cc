@@ -11,8 +11,8 @@ namespace cod {
 namespace {
 
 // Identity of the current thread inside its owning scheduler. One scheduler
-// deep by construction: workers belong to exactly one scheduler, and nested
-// schedulers (e.g. HIMOR's build-local one) run their own worker threads.
+// deep by construction: workers belong to exactly one scheduler, and a
+// second scheduler runs its own worker threads.
 struct WorkerTls {
   const TaskScheduler* scheduler = nullptr;
   size_t index = 0;
@@ -407,6 +407,49 @@ void TaskScheduler::TimerLoop() {
     Enqueue(entry.priority, std::move(entry.task));
     lock.lock();
   }
+}
+
+void ForEachIndex(TaskScheduler* scheduler, size_t count,
+                  const std::function<void(size_t)>& fn) {
+  if (scheduler == nullptr || count <= 1) {
+    for (size_t i = 0; i < count; ++i) fn(i);
+    return;
+  }
+  // Shared with the helpers, which may start after the call has returned:
+  // such a late helper claims an index past `count` and never touches `fn`.
+  struct State {
+    const std::function<void(size_t)>* fn = nullptr;
+    size_t count = 0;
+    std::atomic<size_t> next{0};
+    std::mutex mu;
+    std::condition_variable done;
+    size_t finished = 0;  // guarded by mu
+  };
+  const auto state = std::make_shared<State>();
+  state->fn = &fn;
+  state->count = count;
+  const auto drain = [](State& s) {
+    size_t ran = 0;
+    for (size_t i = s.next.fetch_add(1); i < s.count;
+         i = s.next.fetch_add(1)) {
+      (*s.fn)(i);
+      ++ran;
+    }
+    if (ran == 0) return;
+    // Count and notify under the lock, so the caller's predicate check and
+    // its wait cannot miss the last increment.
+    std::lock_guard<std::mutex> lock(s.mu);
+    s.finished += ran;
+    if (s.finished == s.count) s.done.notify_all();
+  };
+  const size_t helpers = std::min(count - 1, scheduler->num_threads());
+  for (size_t h = 0; h < helpers; ++h) {
+    scheduler->Submit(TaskPriority::kRebuild,
+                      [state, drain] { drain(*state); });
+  }
+  drain(*state);
+  std::unique_lock<std::mutex> lock(state->mu);
+  state->done.wait(lock, [&] { return state->finished == count; });
 }
 
 }  // namespace cod

@@ -1,7 +1,9 @@
 // Task scheduler: per-worker priority deques, work stealing, TaskGroups,
 // timers, and admission control. Replaces the flat FIFO ThreadPool for every
 // concurrent subsystem (batch query workers, async rebuilds, retry timers,
-// parallel RR sampling, parallel HIMOR construction).
+// parallel RR sampling), and carries ForEachIndex, the one build-side
+// fan-out: a cold HIMOR build's stage-1 source ranges and a sharded
+// service's per-shard construction and recovery.
 //
 // Design (DESIGN.md Sec. 12 has the full writeup):
 //
@@ -250,6 +252,18 @@ class TaskScheduler {
   // registry-lock-during-scrape rule is trivially satisfied.
   std::optional<ScopedCallbackGauge> depth_gauges_[kNumTaskPriorities];
 };
+
+// Runs fn(i) exactly once for every i in [0, count). Without a scheduler
+// (or for count <= 1) the calls run inline in index order. With one, up to
+// min(count - 1, num_threads()) rebuild-priority helper tasks and the
+// calling thread claim indices from a shared counter; the call returns once
+// every claimed index has finished. It never waits for a helper that has
+// not started, so it completes on the calling thread alone when every
+// worker is busy, and nests (fn may call ForEachIndex again, from a worker
+// or not). fn must write only state owned by its index for the result not
+// to depend on the worker count.
+void ForEachIndex(TaskScheduler* scheduler, size_t count,
+                  const std::function<void(size_t)>& fn);
 
 }  // namespace cod
 

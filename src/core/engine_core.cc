@@ -1039,12 +1039,13 @@ Status EngineCore::TryBuildHimorDelta(uint64_t seed, const Budget& budget,
                                       const std::vector<char>* dirty,
                                       HimorSampleCache* prev,
                                       HimorSampleCache* next,
-                                      HimorDeltaStats* stats) {
+                                      HimorDeltaStats* stats,
+                                      TaskScheduler* scheduler) {
   std::optional<CoverageSketchIndex> sketch;
   Result<HimorIndex> built = HimorIndex::BuildDelta(
       model_, base_, lca_, options_.theta, seed, options_.himor_max_rank,
       budget, options_.component_scoped ? &comp_size_of_node_ : nullptr,
-      dirty, prev, next, stats, options_.sketch_bits, &sketch);
+      dirty, prev, next, stats, options_.sketch_bits, &sketch, scheduler);
   if (!built.ok()) return built.status();
   himor_ = std::move(built).value();
   // A failed build never reaches this, keeping the previous index+sketch

@@ -330,11 +330,14 @@ class EngineCore {
   // prev's bucket-row carry, moved into next); with next == nullptr no
   // carry is recorded. A build that runs out of budget (or hits the
   // "himor/build" failpoint) returns the error and leaves any previously
-  // built index untouched.
+  // built index untouched. A non-null `scheduler` runs a cold build's
+  // stage-1 source ranges on it, the calling thread included; the bytes
+  // built do not depend on it.
   Status TryBuildHimorDelta(uint64_t seed, const Budget& budget,
                             const std::vector<char>* dirty,
                             HimorSampleCache* prev,
-                            HimorSampleCache* next, HimorDeltaStats* stats);
+                            HimorSampleCache* next, HimorDeltaStats* stats,
+                            TaskScheduler* scheduler = nullptr);
   // The cold build without carry: TryBuildHimorDelta with null
   // dirty/prev/next/stats.
   Status TryBuildHimor(uint64_t seed, const Budget& budget = {});

@@ -1,10 +1,12 @@
 #include "core/himor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <queue>
 
 #include "common/binary_io.h"
 #include "common/failpoint.h"
+#include "common/task_scheduler.h"
 #include "hierarchy/sketch_builder.h"
 
 namespace cod {
@@ -50,15 +52,21 @@ void MergeRuns(const Run& a, const Run& b,
 // as over freshly drawn RrGraphs — both expose nodes[] / NeighborsOf().
 class TreeHfsSampler {
  public:
+  // `max_depth` is MaxDepth(dendrogram), computed once per build rather
+  // than once per stage-1 range.
   TreeHfsSampler(const DiffusionModel& model, const Dendrogram& dendrogram,
-                 const LcaIndex& lca)
+                 const LcaIndex& lca, uint32_t max_depth)
       : dendrogram_(&dendrogram), lca_(&lca), sampler_(model) {
-    max_depth_ = 0;
+    depth_queue_.resize(max_depth + 1);
+    source_chain_.resize(max_depth + 1);
+  }
+
+  static uint32_t MaxDepth(const Dendrogram& dendrogram) {
+    uint32_t max_depth = 0;
     for (CommunityId c = 0; c < dendrogram.NumVertices(); ++c) {
-      max_depth_ = std::max(max_depth_, dendrogram.Depth(c));
+      max_depth = std::max(max_depth, dendrogram.Depth(c));
     }
-    depth_queue_.resize(max_depth_ + 1);
-    source_chain_.resize(max_depth_ + 1);
+    return max_depth;
   }
 
   // Loads `source`'s ancestor chain; must precede Walk / SampleAndWalk.
@@ -176,7 +184,6 @@ class TreeHfsSampler {
   const LcaIndex* lca_;
   RrSampler sampler_;
   RrGraph rr_;
-  uint32_t max_depth_ = 0;
   std::vector<std::vector<uint32_t>> depth_queue_;
   std::priority_queue<uint32_t> pending_;  // max-heap: deepest first
   std::vector<char> queued_;
@@ -219,22 +226,81 @@ std::optional<CoverageSketchBuilder> MaybeSketchBuilder(
       sketch_bits, max_rank);
 }
 
+// Cold stage 1 runs as contiguous source ranges. Their length depends on
+// (n, theta) only, never on the worker count: at most kStageOneRanges
+// ranges, none shorter than kMinRangeSamples samples. A graph below that
+// many samples (cora-sim at theta 10 draws 24,850) runs as one inline range
+// that writes its carry straight into `next`: there the fan-out saved less
+// than the carry copy it adds once the host lends few cores. The split
+// cannot show in any output, which consumes the ranges in source order.
+constexpr size_t kStageOneRanges = 64;
+constexpr uint64_t kMinRangeSamples = 32768;
+
+size_t StageOneRangeLength(size_t n, uint32_t theta) {
+  const size_t even = (n + kStageOneRanges - 1) / kStageOneRanges;
+  const auto min_len =
+      static_cast<size_t>((kMinRangeSamples + theta - 1) / theta);
+  return std::max<size_t>({even, min_len, 1});
+}
+
+// Appends stage-1 ranges' carry records to `next` in range order, one
+// reservation per array: the arrays one serial pass appends. A range's
+// pair_begin holds each of its samples' pair ends, relative to the range.
+// The RR slab and the pair records are separate calls, so they can be
+// copied side by side.
+void AppendRangeSlabs(const std::vector<HimorSampleCache>& parts,
+                      HimorSampleCache* next) {
+  std::vector<const RrSlabPool*> pools;
+  for (const HimorSampleCache& part : parts) pools.push_back(&part.rr);
+  next->rr.AppendPools(pools);
+}
+
+void AppendRangePairs(const std::vector<HimorSampleCache>& parts,
+                      HimorSampleCache* next) {
+  size_t num_pairs = 0;
+  for (const HimorSampleCache& part : parts) {
+    num_pairs += part.pair_node.size();
+  }
+  next->pair_pos.reserve(num_pairs);
+  next->pair_tag.reserve(num_pairs);
+  next->pair_node.reserve(num_pairs);
+  for (const HimorSampleCache& part : parts) {
+    const uint64_t base = next->pair_node.size();
+    for (const uint64_t end : part.pair_begin) {
+      next->pair_begin.push_back(base + end);
+    }
+    next->pair_pos.insert(next->pair_pos.end(), part.pair_pos.begin(),
+                          part.pair_pos.end());
+    next->pair_tag.insert(next->pair_tag.end(), part.pair_tag.begin(),
+                          part.pair_tag.end());
+    next->pair_node.insert(next->pair_node.end(), part.pair_node.begin(),
+                           part.pair_node.end());
+  }
+}
+
 }  // namespace
 
 HimorIndex::BucketTable HimorIndex::BuildBuckets(
-    std::span<const std::pair<CommunityId, NodeId>> pairs,
+    std::span<const std::vector<std::pair<CommunityId, NodeId>>> parts,
     size_t num_vertices, size_t num_nodes) {
   BucketTable table;
   table.item_begin.assign(num_vertices + 1, 0);
 
-  // Counting sort of the tag pairs by community.
+  // Counting sort of the tag pairs by community, straight from the parts in
+  // order (a stable sort of their concatenation).
   std::vector<size_t> start(num_vertices + 1, 0);
-  for (const auto& [community, node] : pairs) ++start[community + 1];
+  for (const auto& pairs : parts) {
+    for (const auto& [community, node] : pairs) ++start[community + 1];
+  }
   for (size_t c = 1; c <= num_vertices; ++c) start[c] += start[c - 1];
-  std::vector<NodeId> sorted(pairs.size());
+  std::vector<NodeId> sorted(start[num_vertices]);
   {
     std::vector<size_t> cursor(start.begin(), start.end() - 1);
-    for (const auto& [community, node] : pairs) sorted[cursor[community]++] = node;
+    for (const auto& pairs : parts) {
+      for (const auto& [community, node] : pairs) {
+        sorted[cursor[community]++] = node;
+      }
+    }
   }
 
   // Per-community aggregation: node stamps (token = community + 1, unique
@@ -304,13 +370,29 @@ HimorIndex HimorIndex::BuildFromItems(
       updated.emplace_back(acc[v], v);
       bucket_stamp[v] = token;
     });
-    std::sort(updated.begin(), updated.end(), RunLess);
 
     const auto kids = dendrogram.Children(c);
     // The bucket run is exactly the nodes first covered at c, so the sketch
     // union (children's signatures + this bucket) sees c's full covered set
     // without any extra traversal.
     if (sketch != nullptr) sketch->MergeUp(c, kids, updated);
+
+    // Component-scoped builds materialize only pure communities: a subtree
+    // larger than its members' connected component must span components
+    // (it includes every node of that component plus outsiders), so its
+    // ranks depend on shard composition and are never served. Membership is
+    // tested via the first member — a community either lies inside one
+    // component or contains whole components, so one probe decides purity.
+    // Every ancestor of an impure community is impure too, so nothing reads
+    // an impure community's run or ranks: its child runs are only freed.
+    if (comp_size_of_node != nullptr) {
+      const auto members = dendrogram.Members(c);
+      if (dendrogram.LeafCount(c) > (*comp_size_of_node)[*members.begin()]) {
+        for (CommunityId child : kids) Run().swap(runs[child]);
+        continue;
+      }
+    }
+    std::sort(updated.begin(), updated.end(), RunLess);
 
     // Merge child runs (2-way cascade; agglomerative trees are binary except
     // possibly at the root). Empty runs are skipped: a component-scoped
@@ -348,34 +430,19 @@ HimorIndex HimorIndex::BuildFromItems(
       rank_epoch[merged[i].second] = epoch;
     }
     const uint32_t absent_rank = static_cast<uint32_t>(merged.size());
-    // Component-scoped builds materialize only pure communities: a subtree
-    // larger than its members' connected component must span components
-    // (it includes every node of that component plus outsiders), so its
-    // ranks depend on shard composition and are never served. Membership is
-    // tested via the first member — a community either lies inside one
-    // component or contains whole components, so one probe decides purity.
-    bool materialize = true;
-    if (comp_size_of_node != nullptr) {
-      const auto members = dendrogram.Members(c);
-      materialize =
-          dendrogram.LeafCount(c) <= (*comp_size_of_node)[*members.begin()];
+    for (NodeId v : dendrogram.Members(c)) {
+      const uint32_t r = rank_epoch[v] == epoch ? rank_of[v] : absent_rank;
+      // "Selected communities": entries a query with k <= max_rank could
+      // ever need. An ancestor absent from v's list implies rank >=
+      // max_rank.
+      if (r < max_rank) per_node[v].push_back(Entry{c, r});
+      // acc[v] is v's exact cumulative count at c; the ascending sweep
+      // overwrites, so each node ends at its TOPMOST materialized
+      // ancestor — the monotone upper bound sketch pruning compares
+      // thresholds against.
+      if (sketch != nullptr) sketch->SetTopCount(v, acc[v]);
     }
-    if (materialize) {
-      for (NodeId v : dendrogram.Members(c)) {
-        const uint32_t r =
-            rank_epoch[v] == epoch ? rank_of[v] : absent_rank;
-        // "Selected communities": entries a query with k <= max_rank could
-        // ever need. An ancestor absent from v's list implies rank >=
-        // max_rank.
-        if (r < max_rank) per_node[v].push_back(Entry{c, r});
-        // acc[v] is v's exact cumulative count at c; the ascending sweep
-        // overwrites, so each node ends at its TOPMOST materialized
-        // ancestor — the monotone upper bound sketch pruning compares
-        // thresholds against.
-        if (sketch != nullptr) sketch->SetTopCount(v, acc[v]);
-      }
-      if (sketch != nullptr) sketch->RecordCommunity(c, merged);
-    }
+    if (sketch != nullptr) sketch->RecordCommunity(c, merged);
     runs[c] = std::move(merged);
   }
 
@@ -394,6 +461,11 @@ HimorIndex HimorIndex::BuildFromItems(
   return index;
 }
 
+size_t HimorIndex::NumStageOneRanges(size_t n, uint32_t theta) {
+  const size_t range_len = StageOneRangeLength(n, theta);
+  return (n + range_len - 1) / range_len;
+}
+
 Result<HimorIndex> HimorIndex::Build(
     const DiffusionModel& model, const Dendrogram& dendrogram,
     const LcaIndex& lca, uint32_t theta, uint64_t seed, uint32_t max_rank,
@@ -410,7 +482,8 @@ Result<HimorIndex> HimorIndex::BuildDelta(
     const Budget& budget, const std::vector<uint32_t>* comp_size_of_node,
     const std::vector<char>* dirty, HimorSampleCache* prev,
     HimorSampleCache* next, HimorDeltaStats* stats,
-    uint32_t sketch_bits, std::optional<CoverageSketchIndex>* sketch) {
+    uint32_t sketch_bits, std::optional<CoverageSketchIndex>* sketch,
+    TaskScheduler* scheduler) {
   COD_CHECK(theta > 0);
   COD_CHECK(max_rank > 0);
   const size_t n = model.graph().NumNodes();
@@ -478,14 +551,14 @@ Result<HimorIndex> HimorIndex::BuildDelta(
     }
   }
 
-  TreeHfsSampler worker(model, dendrogram, lca);
+  const uint32_t max_depth = TreeHfsSampler::MaxDepth(dendrogram);
   HimorDeltaStats tally;
   tally.samples_total = num_samples;
 
   // Stage 2 over a freshly aggregated bucket table (cold builds, and
   // incremental builds whose delta volume makes re-aggregation the cheaper
   // move). With carry, the table also becomes the fingerprint-keyed rows
-  // the next delta build starts from.
+  // the next delta build starts from; the caller marks `next` valid.
   const auto finish_from_buckets = [&](const BucketTable& buckets) {
     if (next != nullptr) {
       next->rows.clear();
@@ -499,7 +572,6 @@ Result<HimorIndex> HimorIndex::BuildDelta(
         row.count.insert(row.count.end(), buckets.count.begin() + ib,
                          buckets.count.begin() + ie);
       }
-      next->valid = true;
     }
     std::optional<CoverageSketchBuilder> sb = MaybeSketchBuilder(
         dendrogram, seed, theta, max_rank, sketch_bits, sketch);
@@ -518,29 +590,66 @@ Result<HimorIndex> HimorIndex::BuildDelta(
   };
 
   if (!reusable) {
-    // Cold build: draw and walk every sample, then aggregate buckets in one
-    // pass. Budget failures are all-or-nothing — nothing partial is kept.
-    std::vector<std::pair<CommunityId, NodeId>> pairs;
-    for (NodeId source = 0; source < n; ++source) {
-      const StatusCode budget_code = budget.ExhaustedCode();
-      if (budget_code != StatusCode::kOk) {
-        return BudgetStatus(budget_code);
-      }
-      worker.BeginSource(source);
-      for (uint32_t j = 0; j < theta; ++j) {
-        Rng rng(RrSampleSeed(seed, uint64_t{source} * theta + j));
-        worker.SampleAndWalk(rng, &pairs, next);
-        if (next != nullptr) {
-          next->rr.Append(worker.last_rr());
-          next->pair_begin.push_back(next->pair_node.size());
+    // Cold build: draw and walk every sample in fixed source ranges (on
+    // `scheduler` when there is one), then aggregate buckets in one pass.
+    // Each range fills its own pair vector and carry records; consumed in
+    // range order they equal what one serial pass produces. Every range
+    // polls the budget per source and stops once any range has failed;
+    // failures are all-or-nothing — nothing partial is kept.
+    const size_t range_len = StageOneRangeLength(n, theta);
+    const size_t num_ranges = NumStageOneRanges(n, theta);
+    std::vector<std::vector<std::pair<CommunityId, NodeId>>> pairs(num_ranges);
+    // Ranges that run one after another in source order (one range, or no
+    // scheduler) record their carry straight into `next`.
+    std::vector<HimorSampleCache> carry(
+        next != nullptr && scheduler != nullptr && num_ranges > 1 ? num_ranges
+                                                                  : 0);
+    std::atomic<StatusCode> failed{StatusCode::kOk};
+    ForEachIndex(scheduler, num_ranges, [&](size_t r) {
+      TreeHfsSampler walker(model, dendrogram, lca, max_depth);
+      HimorSampleCache* sink = carry.empty() ? next : &carry[r];
+      const size_t end = std::min(n, (r + 1) * range_len);
+      for (size_t source = r * range_len; source < end; ++source) {
+        if (failed.load(std::memory_order_relaxed) != StatusCode::kOk) return;
+        const StatusCode code = budget.ExhaustedCode();
+        if (code != StatusCode::kOk) {
+          StatusCode none = StatusCode::kOk;  // the first failure is reported
+          failed.compare_exchange_strong(none, code);
+          return;
+        }
+        walker.BeginSource(static_cast<NodeId>(source));
+        for (uint32_t j = 0; j < theta; ++j) {
+          Rng rng(RrSampleSeed(seed, uint64_t{source} * theta + j));
+          walker.SampleAndWalk(rng, &pairs[r], sink);
+          if (sink != nullptr) {
+            sink->rr.Append(walker.last_rr());
+            sink->pair_begin.push_back(sink->pair_node.size());
+          }
         }
       }
+    });
+    if (const StatusCode code = failed.load(); code != StatusCode::kOk) {
+      return BudgetStatus(code);
     }
     tally.samples_resampled = num_samples;
-    return finish_from_buckets(BuildBuckets(pairs, num_vertices, n));
+    // Bucket aggregation plus stage 2, the RR slab copy and the pair-record
+    // copy touch disjoint state, so the carry assembles beside stage 2.
+    HimorIndex index;
+    ForEachIndex(scheduler, carry.empty() ? 1 : 3, [&](size_t task) {
+      if (task == 0) {
+        index = finish_from_buckets(BuildBuckets(pairs, num_vertices, n));
+      } else if (task == 1) {
+        AppendRangeSlabs(carry, next);
+      } else {
+        AppendRangePairs(carry, next);
+      }
+    });
+    if (next != nullptr) next->valid = true;
+    return index;
   }
 
   // ---- Incremental path. ----
+  TreeHfsSampler worker(model, dendrogram, lca, max_depth);
   // At low churn the new pair population is close to the old one; one
   // up-front reservation keeps the hot loop free of geometric regrowth.
   next->pair_pos.reserve(prev->pair_pos.size());
@@ -905,7 +1014,10 @@ Result<HimorIndex> HimorIndex::BuildDelta(
                            next->pair_node[k]);
       }
     }
-    return finish_from_buckets(BuildBuckets(pairs, num_vertices, n));
+    HimorIndex index =
+        finish_from_buckets(BuildBuckets({&pairs, 1}, num_vertices, n));
+    next->valid = true;
+    return index;
   }
 
   // Sparse case: carry the rows across and apply the delta. Stealing (not

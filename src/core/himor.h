@@ -51,6 +51,7 @@
 namespace cod {
 
 class CoverageSketchBuilder;
+class TaskScheduler;
 
 // Cross-epoch carry state for BuildDelta: everything epoch N's build must
 // remember so epoch N+1 can skip the untouched fraction. Owned by the
@@ -144,11 +145,20 @@ class HimorIndex {
   // function of (seed, theta, its own component's subgraph). On a connected
   // graph every community is pure and the entry set matches the mono build.
   //
+  // Scheduler: a cold build (no usable `prev`) draws its samples in fixed
+  // source ranges, a function of (n, theta) only. With a non-null
+  // `scheduler` the ranges fan out on it as rebuild-priority tasks and the
+  // calling thread runs ranges too (ForEachIndex); without one they run
+  // inline. Every output — index, sketch and carry — is byte-identical
+  // whatever the worker count. The incremental path always runs serially.
+  //
   // Budget: an exhausted budget or an armed "himor/build" failpoint returns
   // kTimeout / kCancelled / kIoError instead of running unbounded. The
-  // budget is polled once per source node (the per-source RR batch is the
-  // check interval). On failure nothing is returned — either the full
-  // deterministic index or an error, never a partial index.
+  // failpoint is checked once, before any sampling. The budget is polled
+  // once per source node (the per-source RR batch is the check interval),
+  // in every range, and one range's failure stops the others. On failure
+  // nothing is returned — either the full deterministic index or an error,
+  // never a partial index.
   //
   // With sketch_bits > 0 and `sketch` non-null, *sketch receives a
   // CoverageSketchIndex built from the very same RR samples and bucket
@@ -189,7 +199,8 @@ class HimorIndex {
       const std::vector<char>* dirty, HimorSampleCache* prev,
       HimorSampleCache* next, HimorDeltaStats* stats,
       uint32_t sketch_bits = 0,
-      std::optional<CoverageSketchIndex>* sketch = nullptr);
+      std::optional<CoverageSketchIndex>* sketch = nullptr,
+      TaskScheduler* scheduler = nullptr);
 
   // The cold build without carry: BuildDelta with null dirty/prev/next.
   static Result<HimorIndex> Build(
@@ -199,6 +210,10 @@ class HimorIndex {
       const std::vector<uint32_t>* comp_size_of_node = nullptr,
       uint32_t sketch_bits = 0,
       std::optional<CoverageSketchIndex>* sketch = nullptr);
+
+  // Number of source ranges a cold build over `n` nodes at `theta` draws
+  // its samples in: a function of (n, theta) only, one for a small graph.
+  static size_t NumStageOneRanges(size_t n, uint32_t theta);
 
   uint32_t max_rank() const { return max_rank_; }
 
@@ -242,8 +257,9 @@ class HimorIndex {
 
   // Aggregates raw (community, node) tag pairs into the CSR bucket table
   // (counting sort by community, then per-segment dedup with node stamps).
+  // The parts are read in order, as one concatenated pair list.
   static BucketTable BuildBuckets(
-      std::span<const std::pair<CommunityId, NodeId>> pairs,
+      std::span<const std::vector<std::pair<CommunityId, NodeId>>> parts,
       size_t num_vertices, size_t num_nodes);
 
   // Stage 2 (bottom-up bucket merging). When `comp_size_of_node` is

@@ -74,6 +74,28 @@ void RrSlabPool::AppendPool(const RrSlabPool& other) {
   }
 }
 
+void RrSlabPool::AppendPools(std::span<const RrSlabPool* const> parts) {
+  size_t nodes = nodes_.size();
+  size_t offsets = offsets_.size();
+  size_t neighbors = neighbors_.size();
+  size_t extents = extents_.size();
+  for (const RrSlabPool* part : parts) {
+    nodes += part->nodes_.size();
+    offsets += part->offsets_.size();
+    neighbors += part->neighbors_.size();
+    extents += part->extents_.size();
+  }
+  NoteGrowth(nodes_, nodes);
+  NoteGrowth(offsets_, offsets);
+  NoteGrowth(neighbors_, neighbors);
+  NoteGrowth(extents_, extents);
+  nodes_.reserve(nodes);
+  offsets_.reserve(offsets);
+  neighbors_.reserve(neighbors);
+  extents_.reserve(extents);
+  for (const RrSlabPool* part : parts) AppendPool(*part);
+}
+
 void RrSlabPool::AppendRange(const RrSlabPool& other, size_t begin,
                              size_t end) {
   if (begin >= end) return;

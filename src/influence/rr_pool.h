@@ -91,6 +91,9 @@ class RrSlabPool {
   void Append(const View& v);
   // Appends every sample of `other` in order (chunk merge).
   void AppendPool(const RrSlabPool& other);
+  // Appends every pool of `parts` in order, growing each slab once for the
+  // total first (a cold HIMOR build's stage-1 range merge).
+  void AppendPools(std::span<const RrSlabPool* const> parts);
   // Appends samples [begin, end) of `other` in order. Samples are stored in
   // append order, so the range occupies one contiguous stretch of each slab
   // and copies as three bulk inserts — the delta rebuild's whole-source

@@ -407,7 +407,7 @@ Result<DynamicCodService::EpochBuild> DynamicCodService::BuildEpochCore(
     HimorDeltaStats dstats;
     const Status himor = core->TryBuildHimorDelta(
         seed, budget, dirty, use_prev ? &sample_cache_[cur] : nullptr,
-        delta ? &sample_cache_[nxt] : nullptr, &dstats);
+        delta ? &sample_cache_[nxt] : nullptr, &dstats, options_.scheduler);
     if (himor.ok()) {
       if (delta) {
         rm.delta_samples_reused->Increment(dstats.samples_reused);

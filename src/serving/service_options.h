@@ -59,9 +59,12 @@ struct ServiceOptions {
   bool async_rebuild = false;
   // The service's only thread pool, optional unless async_rebuild is set.
   // When present it runs: async rebuilds (rebuild priority) and their retry
-  // timers (maintenance); snapshot writes (maintenance); and a sharded
+  // timers (maintenance); snapshot writes (maintenance); every cold HIMOR
+  // build's stage-1 source ranges (rebuild priority); and a sharded
   // service's per-shard construction and Recover() (rebuild priority, one
-  // task per shard). Without it the last two run on the calling thread.
+  // item per shard). The last two fan out through ForEachIndex, so the
+  // calling thread builds ranges and shards too. Without a scheduler they
+  // run on the calling thread alone. Built bytes never depend on it.
   TaskScheduler* scheduler = nullptr;
 
   // Failed ASYNC rebuilds retry up to this many times (so up to

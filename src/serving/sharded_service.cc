@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <utility>
 
 #include "common/metrics.h"
@@ -14,24 +13,6 @@ Counter& CrossEdgeRejected() {
   static Counter* counter = MetricsRegistry::Instance().GetCounter(
       "cod_shard_cross_edge_rejected_total");
   return *counter;
-}
-
-// Runs run_shard(s) for every shard: as one rebuild-priority task group on
-// `scheduler`, inline in shard order when there is none. Each call must
-// write only shard s's slots, so the result does not depend on the worker
-// count.
-void ForEachShard(TaskScheduler* scheduler, uint32_t num_shards,
-                  const std::function<void(uint32_t)>& run_shard) {
-  if (scheduler == nullptr) {
-    for (uint32_t s = 0; s < num_shards; ++s) run_shard(s);
-    return;
-  }
-  TaskGroup group(*scheduler);
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    scheduler->Submit(TaskPriority::kRebuild, group,
-                      [&run_shard, s] { run_shard(s); });
-  }
-  group.Wait();
 }
 
 }  // namespace
@@ -77,7 +58,8 @@ ShardedCodService::ShardedCodService(Graph initial_graph, AttributeTable attrs,
   partition_ = PartitionGraph(initial_graph, *attrs_, options_.num_shards,
                               options_.partitioner);
   shards_.resize(options_.num_shards);
-  ForEachShard(options_.scheduler, options_.num_shards, [&](uint32_t s) {
+  ForEachIndex(options_.scheduler, options_.num_shards, [&](size_t i) {
+    const auto s = static_cast<uint32_t>(i);
     shards_[s] = std::make_unique<DynamicCodService>(
         BuildShardGraph(initial_graph, partition_, s), attrs_,
         ShardOptions(options_, s));
@@ -97,7 +79,8 @@ Result<std::unique_ptr<ShardedCodService>> ShardedCodService::Recover(
       cold_graph, *attrs, options.num_shards, options.partitioner);
   std::vector<std::unique_ptr<DynamicCodService>> shards(options.num_shards);
   std::vector<Status> errors(options.num_shards);
-  ForEachShard(options.scheduler, options.num_shards, [&](uint32_t s) {
+  ForEachIndex(options.scheduler, options.num_shards, [&](size_t i) {
+    const auto s = static_cast<uint32_t>(i);
     Result<std::unique_ptr<DynamicCodService>> recovered =
         DynamicCodService::Recover(ShardOptions(options, s));
     if (recovered.ok()) {
@@ -118,7 +101,8 @@ Result<std::unique_ptr<ShardedCodService>> ShardedCodService::Recover(
   // quarantined as corrupt) cold-rebuilds from its partition slice. The
   // others keep their warm epochs — per-shard epoch streams make the mixed
   // restart consistent.
-  ForEachShard(options.scheduler, options.num_shards, [&](uint32_t s) {
+  ForEachIndex(options.scheduler, options.num_shards, [&](size_t i) {
+    const auto s = static_cast<uint32_t>(i);
     if (shards[s] != nullptr) return;
     shards[s] = std::make_unique<DynamicCodService>(
         BuildShardGraph(cold_graph, partition, s), attrs,

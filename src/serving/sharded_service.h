@@ -51,9 +51,10 @@ class ShardedCodService : public CodServiceInterface {
  public:
   // Partitions `initial_graph` and builds every shard's first epoch
   // synchronously (CHECK-fails on a first-build error, like the mono
-  // service). With options.scheduler set, the shard builds run as one
-  // rebuild-priority task group on it (so an armed count-limited failpoint
-  // fires on a scheduling-dependent shard); without, in shard order.
+  // service). With options.scheduler set, the shard builds fan out on it
+  // (ForEachIndex: rebuild-priority helpers, and the calling thread builds
+  // shards too), so an armed count-limited failpoint fires on a
+  // scheduling-dependent shard; without, in shard order.
   // `options` must Validate(); engine.component_scoped is forced on for the
   // shard engines regardless of its incoming value. One shared attribute
   // table backs all shards.

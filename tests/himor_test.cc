@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include "common/binary_io.h"
 #include "common/crc32c.h"
 #include "common/random.h"
+#include "common/task_scheduler.h"
 #include "graph/connectivity.h"
 #include "graph/generators.h"
 #include "hierarchy/agglomerative.h"
@@ -331,6 +334,138 @@ TEST(HimorFlatRootTest, ManyPairComponentsUnderTheRootKeepTheirBytes) {
   const FlatRootCrcs unscoped = FlatRootBuildCrcs(g, 301, false);
   EXPECT_EQ(unscoped.himor, 0x3d18d473u);
   EXPECT_EQ(unscoped.sketch, 0xeb103c94u);
+}
+
+// ---------------------------------------------------------------------------
+// Cold stage 1 fanned out on a scheduler: the bytes at every worker count.
+// ---------------------------------------------------------------------------
+
+// One cold build's outputs: index and sketch bytes plus the carry (empty
+// when built without one).
+struct ColdBuild {
+  std::string himor;
+  std::string sketch;
+  HimorSampleCache carry;
+};
+
+// Three 300-node components (random chords over a path) plus 300 isolated
+// nodes, so component scoping drops the impure communities above them.
+// 1,200 nodes at theta 96 draw 115,200 samples: four stage-1 ranges.
+struct FanOutWorld {
+  static constexpr uint32_t kTheta = 96;
+  Graph graph = MakeFlatRootGraph(3, 300, 1000, 300, 41);
+  Dendrogram dendrogram = AgglomerativeCluster(graph);
+  LcaIndex lca{dendrogram};
+  DiffusionModel model = DiffusionModel::WeightedCascadeIc(graph);
+  std::vector<uint32_t> comp_size = ComponentSizesOf(graph);
+};
+
+ColdBuild BuildCold(const FanOutWorld& w, bool scoped, bool with_carry,
+                    TaskScheduler* scheduler) {
+  ColdBuild out;
+  std::optional<CoverageSketchIndex> sketch;
+  const HimorIndex index =
+      HimorIndex::BuildDelta(
+          w.model, w.dendrogram, w.lca, FanOutWorld::kTheta,
+          /*seed=*/0xfa17ULL, /*max_rank=*/8, /*budget=*/{},
+          scoped ? &w.comp_size : nullptr, /*dirty=*/nullptr,
+          /*prev=*/nullptr, with_carry ? &out.carry : nullptr,
+          /*stats=*/nullptr, /*sketch_bits=*/6, &sketch, scheduler)
+          .value();
+  BinaryBufferWriter himor_bytes;
+  index.SerializeTo(himor_bytes);
+  out.himor = himor_bytes.TakeBytes();
+  BinaryBufferWriter sketch_bytes;
+  EXPECT_TRUE(sketch.has_value());
+  if (sketch.has_value()) sketch->SerializeTo(sketch_bytes);
+  out.sketch = sketch_bytes.TakeBytes();
+  return out;
+}
+
+TEST(HimorFanOutTest, BytesAndCarryMatchAtEveryWorkerCount) {
+  const FanOutWorld w;
+  // Several ranges, or the scheduler legs would run inline.
+  ASSERT_GE(HimorIndex::NumStageOneRanges(w.graph.NumNodes(),
+                                          FanOutWorld::kTheta),
+            4u);
+  for (const bool scoped : {false, true}) {
+    SCOPED_TRACE(scoped ? "component_scoped" : "mono");
+    const ColdBuild serial = BuildCold(w, scoped, true, nullptr);
+    const ColdBuild no_carry = BuildCold(w, scoped, false, nullptr);
+    EXPECT_EQ(no_carry.himor, serial.himor);
+    EXPECT_EQ(no_carry.sketch, serial.sketch);
+    EXPECT_TRUE(serial.carry.valid);
+    EXPECT_EQ(serial.carry.rr.NumSamples(),
+              w.graph.NumNodes() * FanOutWorld::kTheta);
+    for (const size_t workers : {1, 2, 4}) {
+      SCOPED_TRACE(workers);
+      TaskScheduler sched(workers);
+      const ColdBuild fanned = BuildCold(w, scoped, true, &sched);
+      EXPECT_EQ(fanned.himor, serial.himor);
+      EXPECT_EQ(fanned.sketch, serial.sketch);
+      EXPECT_TRUE(testing::SameCarry(fanned.carry, serial.carry));
+      if (workers == 4) {
+        const ColdBuild fanned_no_carry = BuildCold(w, scoped, false, &sched);
+        EXPECT_EQ(fanned_no_carry.himor, serial.himor);
+        EXPECT_EQ(fanned_no_carry.sketch, serial.sketch);
+      }
+    }
+  }
+}
+
+TEST(HimorFanOutTest, DeltaFromFanOutCarryEqualsDeltaFromSerialCarry) {
+  const FanOutWorld w;
+  // The next epoch: one chord added inside the first component.
+  GraphBuilder b(w.graph.NumNodes());
+  for (EdgeId e = 0; e < w.graph.NumEdges(); ++e) {
+    const auto [u, v] = w.graph.Endpoints(e);
+    b.AddEdge(u, v, w.graph.Weight(e));
+  }
+  b.AddEdge(3, 250);
+  const Graph g2 = std::move(b).Build();
+  const Dendrogram d2 = AgglomerativeCluster(g2);
+  const LcaIndex lca2(d2);
+  const DiffusionModel m2 = DiffusionModel::WeightedCascadeIc(g2);
+  std::vector<char> dirty(g2.NumNodes(), 0);
+  dirty[3] = dirty[250] = 1;
+
+  for (const bool scoped : {false, true}) {
+    SCOPED_TRACE(scoped ? "component_scoped" : "mono");
+    TaskScheduler sched(4);
+    ColdBuild serial = BuildCold(w, scoped, true, nullptr);
+    ColdBuild fanned = BuildCold(w, scoped, true, &sched);
+    ASSERT_TRUE(testing::SameCarry(serial.carry, fanned.carry));
+
+    const auto delta = [&](HimorSampleCache* prev, HimorSampleCache* next,
+                           HimorDeltaStats* stats) {
+      std::optional<CoverageSketchIndex> sketch;
+      const HimorIndex index =
+          HimorIndex::BuildDelta(
+              m2, d2, lca2, FanOutWorld::kTheta, /*seed=*/0xfa17ULL,
+              /*max_rank=*/8, /*budget=*/{},
+              scoped ? &w.comp_size : nullptr, &dirty, prev, next, stats,
+              /*sketch_bits=*/6, &sketch, &sched)
+              .value();
+      BinaryBufferWriter bytes;
+      index.SerializeTo(bytes);
+      if (sketch.has_value()) sketch->SerializeTo(bytes);
+      return bytes.TakeBytes();
+    };
+    HimorSampleCache next_serial;
+    HimorSampleCache next_fanned;
+    HimorDeltaStats stats_serial;
+    HimorDeltaStats stats_fanned;
+    const std::string from_serial =
+        delta(&serial.carry, &next_serial, &stats_serial);
+    const std::string from_fanned =
+        delta(&fanned.carry, &next_fanned, &stats_fanned);
+    // The delta path ran: most samples were carried, not redrawn.
+    EXPECT_GT(stats_serial.samples_reused, stats_serial.samples_resampled);
+    EXPECT_EQ(stats_fanned.samples_reused, stats_serial.samples_reused);
+    EXPECT_EQ(stats_fanned.samples_replayed, stats_serial.samples_replayed);
+    EXPECT_EQ(from_fanned, from_serial);
+    EXPECT_TRUE(testing::SameCarry(next_fanned, next_serial));
+  }
 }
 
 }  // namespace

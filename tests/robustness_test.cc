@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "common/deadline.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
@@ -29,6 +30,7 @@
 #include "hierarchy/agglomerative.h"
 #include "hierarchy/dendrogram_io.h"
 #include "hierarchy/lca.h"
+#include "tests/test_util.h"
 
 namespace cod {
 namespace {
@@ -553,6 +555,86 @@ TEST(HimorBudgetTest, ExpiredBudgetFailsBothBuilders) {
   ASSERT_FALSE(delta.ok());
   EXPECT_EQ(delta.status().code(), StatusCode::kTimeout);
   EXPECT_FALSE(next.valid);
+  // And with the cold build's source ranges on a 4-worker scheduler.
+  TaskScheduler sched(4);
+  HimorSampleCache fanned_next;
+  const Result<HimorIndex> fanned = HimorIndex::BuildDelta(
+      m, d, lca, 5, /*seed=*/2, 16, Budget{Deadline::After(0.0)},
+      /*comp_size_of_node=*/nullptr, /*dirty=*/nullptr, /*prev=*/nullptr,
+      &fanned_next, /*stats=*/nullptr, /*sketch_bits=*/0, /*sketch=*/nullptr,
+      &sched);
+  ASSERT_FALSE(fanned.ok());
+  EXPECT_EQ(fanned.status().code(), StatusCode::kTimeout);
+  EXPECT_FALSE(fanned_next.valid);
+}
+
+// A budget that runs out, or a cancel that fires, while the cold build's
+// source ranges run on the scheduler fails the whole build: the core keeps
+// its previous index and sketch, `prev` stays intact and reusable, and
+// `next` stays invalid. The build is large enough (192,000 samples in six
+// ranges) that the stage-1 fan-out outlasts a 2 ms deadline and a cancel
+// fired as the build starts.
+TEST(HimorBudgetTest, FailureMidFanOutKeepsPreviousIndexAndCarry) {
+  Rng rng(72);
+  HppParams params;
+  params.num_nodes = 3000;
+  params.num_edges = 12000;
+  params.levels = 3;
+  params.fanout = 4;
+  GeneratedGraph gen = HierarchicalPlantedPartition(params, rng);
+  const AttributeTable attrs =
+      AssignCorrelatedAttributes(gen.block, 4, 0.8, 0.1, rng);
+  EngineOptions opts;
+  opts.theta = 64;
+  opts.sketch_bits = 6;
+  ASSERT_GE(HimorIndex::NumStageOneRanges(params.num_nodes, opts.theta), 4u);
+  EngineCore core(gen.graph, attrs, opts);
+  TaskScheduler sched(4);
+  const uint64_t seed = 73;
+
+  HimorSampleCache prev;
+  HimorDeltaStats stats;
+  ASSERT_TRUE(core.TryBuildHimorDelta(seed, {}, nullptr, nullptr, &prev,
+                                      &stats, &sched)
+                  .ok());
+  const auto index_bytes = [&core] {
+    BinaryBufferWriter w;
+    core.himor()->SerializeTo(w);
+    core.sketch()->SerializeTo(w);
+    return std::move(w).TakeBytes();
+  };
+  const std::string built = index_bytes();
+  const HimorSampleCache prev_copy = prev;
+
+  for (const bool cancel : {false, true}) {
+    SCOPED_TRACE(cancel ? "cancel" : "deadline");
+    CancelToken token;
+    const Budget budget =
+        cancel ? Budget{Deadline::Infinite(), &token}
+               : Budget{Deadline::After(0.002)};
+    std::thread canceller;
+    if (cancel) canceller = std::thread([&token] { token.Cancel(); });
+    HimorSampleCache next;
+    const Status failed = core.TryBuildHimorDelta(
+        seed, budget, /*dirty=*/nullptr, &prev, &next, &stats, &sched);
+    if (canceller.joinable()) canceller.join();
+    EXPECT_EQ(failed.code(),
+              cancel ? StatusCode::kCancelled : StatusCode::kTimeout);
+    EXPECT_FALSE(next.valid);
+    EXPECT_EQ(index_bytes(), built);
+    EXPECT_TRUE(testing::SameCarry(prev, prev_copy));
+  }
+
+  // `prev` still drives a delta build: with nothing dirty every sample is
+  // reused and the index comes out unchanged.
+  const std::vector<char> clean(params.num_nodes, 0);
+  HimorSampleCache next;
+  ASSERT_TRUE(core.TryBuildHimorDelta(seed, {}, &clean, &prev, &next, &stats,
+                                      &sched)
+                  .ok());
+  EXPECT_EQ(stats.samples_reused, stats.samples_total);
+  EXPECT_TRUE(next.valid);
+  EXPECT_EQ(index_bytes(), built);
 }
 
 TEST(HimorBudgetTest, BuildFailpointFailsTheBuild) {

@@ -61,26 +61,25 @@ World MakeWorld(uint64_t seed, size_t n = 200) {
 // Three disjoint planted-partition parts: several connected components, so
 // component-scoped materialization drops the impure merge vertices that the
 // dendrogram stacks above them.
-World MakeMultiComponentWorld(uint64_t seed) {
+World MakeMultiComponentWorld(uint64_t seed, size_t part_nodes = 70) {
   constexpr size_t kParts = 3;
-  constexpr size_t kPartNodes = 70;
   Rng rng(seed);
-  GraphBuilder b(kParts * kPartNodes);
-  std::vector<uint32_t> block(kParts * kPartNodes);
+  GraphBuilder b(kParts * part_nodes);
+  std::vector<uint32_t> block(kParts * part_nodes);
   uint32_t block_base = 0;
   for (size_t p = 0; p < kParts; ++p) {
     HppParams params;
-    params.num_nodes = kPartNodes;
-    params.num_edges = 4 * kPartNodes;
+    params.num_nodes = part_nodes;
+    params.num_edges = 4 * part_nodes;
     params.levels = 2;
     params.fanout = 3;
     const GeneratedGraph part = HierarchicalPlantedPartition(params, rng);
-    const NodeId base = static_cast<NodeId>(p * kPartNodes);
+    const NodeId base = static_cast<NodeId>(p * part_nodes);
     for (EdgeId e = 0; e < part.graph.NumEdges(); ++e) {
       const auto [u, v] = part.graph.Endpoints(e);
       b.AddEdge(base + u, base + v, part.graph.Weight(e));
     }
-    for (NodeId v = 0; v < kPartNodes; ++v) {
+    for (NodeId v = 0; v < part_nodes; ++v) {
       block[base + v] = block_base + part.block[v];
     }
     block_base += part.num_blocks;
@@ -203,44 +202,66 @@ TEST(BottomKAlgebraTest, FullEstimatorTracksDistinctCardinality) {
 // ---------------------------------------------------------------------------
 
 // The cold build without carry and a cold delta build that records carry
-// write the same HIMOR and sketch bytes, mono and component-scoped alike.
+// write the same HIMOR and sketch bytes, mono and component-scoped alike,
+// and so does the cold delta build with its stage-1 source ranges fanned out
+// on a 4-worker scheduler. The larger world (4,200 nodes at theta 16)
+// splits into several ranges.
 TEST(SketchBuildTest, SerialAndParallelBuildsBitIdentical) {
-  const World w = MakeMultiComponentWorld(FuzzSeed(3));
-  const uint64_t rng_seed = 77;
-  Rng seeder(rng_seed);
-  const uint64_t schedule_seed = seeder.Next();  // a caller's one draw
+  for (const size_t part_nodes : {70, 1400}) {
+    SCOPED_TRACE(part_nodes);
+    const World w = MakeMultiComponentWorld(FuzzSeed(3), part_nodes);
+    if (part_nodes == 1400) {
+      ASSERT_GE(HimorIndex::NumStageOneRanges(w.graph.NumNodes(),
+                                              SketchOpts().theta),
+                3u);
+    }
+    const uint64_t rng_seed = 77;
+    Rng seeder(rng_seed);
+    const uint64_t schedule_seed = seeder.Next();  // a caller's one draw
 
-  std::string mono_himor;
-  for (const bool scoped : {false, true}) {
-    SCOPED_TRACE(scoped ? "component_scoped" : "mono");
-    EngineOptions opts = SketchOpts();
-    opts.component_scoped = scoped;
+    std::string mono_himor;
+    for (const bool scoped : {false, true}) {
+      SCOPED_TRACE(scoped ? "component_scoped" : "mono");
+      EngineOptions opts = SketchOpts();
+      opts.component_scoped = scoped;
 
-    EngineCore serial(w.graph, w.attrs, opts);
-    Rng rng(rng_seed);
-    ASSERT_TRUE(serial.TryBuildHimor(rng.Next()).ok());
-    ASSERT_NE(serial.sketch(), nullptr);
-    EXPECT_EQ(serial.sketch()->schedule_seed(), schedule_seed);
-    EXPECT_EQ(serial.sketch()->theta(), SketchOpts().theta);
-    EXPECT_EQ(serial.sketch()->NumNodes(), w.graph.NumNodes());
+      EngineCore serial(w.graph, w.attrs, opts);
+      Rng rng(rng_seed);
+      ASSERT_TRUE(serial.TryBuildHimor(rng.Next()).ok());
+      ASSERT_NE(serial.sketch(), nullptr);
+      EXPECT_EQ(serial.sketch()->schedule_seed(), schedule_seed);
+      EXPECT_EQ(serial.sketch()->theta(), SketchOpts().theta);
+      EXPECT_EQ(serial.sketch()->NumNodes(), w.graph.NumNodes());
 
-    EngineCore cold_delta(w.graph, w.attrs, opts);
-    HimorSampleCache cache;
-    HimorDeltaStats stats;
-    ASSERT_TRUE(cold_delta
-                    .TryBuildHimorDelta(schedule_seed, {}, nullptr, nullptr,
-                                        &cache, &stats)
-                    .ok());
+      EngineCore cold_delta(w.graph, w.attrs, opts);
+      HimorSampleCache cache;
+      HimorDeltaStats stats;
+      ASSERT_TRUE(cold_delta
+                      .TryBuildHimorDelta(schedule_seed, {}, nullptr, nullptr,
+                                          &cache, &stats)
+                      .ok());
 
-    const std::string himor = HimorBytes(serial);
-    EXPECT_EQ(himor, HimorBytes(cold_delta));
-    const std::string sketch = SketchBytes(serial);
-    EXPECT_EQ(sketch, SketchBytes(cold_delta));
-    if (scoped) {
-      // Scoping matters on this world: impure communities are dropped.
-      EXPECT_NE(himor, mono_himor);
-    } else {
-      mono_himor = himor;
+      TaskScheduler sched(4);
+      EngineCore fanned(w.graph, w.attrs, opts);
+      HimorSampleCache fanned_cache;
+      ASSERT_TRUE(fanned
+                      .TryBuildHimorDelta(schedule_seed, {}, nullptr, nullptr,
+                                          &fanned_cache, &stats, &sched)
+                      .ok());
+
+      const std::string himor = HimorBytes(serial);
+      EXPECT_EQ(himor, HimorBytes(cold_delta));
+      EXPECT_EQ(himor, HimorBytes(fanned));
+      const std::string sketch = SketchBytes(serial);
+      EXPECT_EQ(sketch, SketchBytes(cold_delta));
+      EXPECT_EQ(sketch, SketchBytes(fanned));
+      EXPECT_TRUE(testing::SameCarry(fanned_cache, cache));
+      if (scoped) {
+        // Scoping matters on this world: impure communities are dropped.
+        EXPECT_NE(himor, mono_himor);
+      } else {
+        mono_himor = himor;
+      }
     }
   }
 }

@@ -1,16 +1,18 @@
 // Unit tests for the task scheduler (common/task_scheduler.h): priority
 // ordering under saturation, work stealing, TaskGroup inline help, the
 // lost-wakeup-free sleep protocol, the timer facility, admission control
-// (bound- and failpoint-driven), drain-on-destruction, and the scheduler
-// metrics.
+// (bound- and failpoint-driven), drain-on-destruction, the scheduler
+// metrics, and the ForEachIndex fan-out.
 
 #include "common/task_scheduler.h"
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -310,6 +312,114 @@ TEST(TaskSchedulerTest, MetricsCountSubmissionsStealsAndInlineRuns) {
   EXPECT_NE(text.find("cod_sched_queue_delay_seconds"), std::string::npos);
   EXPECT_NE(text.find("cod_sched_queue_depth{priority=\"interactive\"}"),
             std::string::npos);
+}
+
+// Parks every worker that runs Block() until Release(); AwaitArrivals(n)
+// returns once n of them are parked.
+class Latch {
+ public:
+  void Block() {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++arrived_;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+  }
+  void AwaitArrivals(size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this, n] { return arrived_ >= n; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t arrived_ = 0;
+  bool released_ = false;
+};
+
+TEST(ForEachIndexTest, RunsEveryIndexExactlyOnce) {
+  for (const size_t workers : {0, 1, 4}) {
+    SCOPED_TRACE(workers);
+    std::unique_ptr<TaskScheduler> sched;
+    if (workers > 0) sched = std::make_unique<TaskScheduler>(workers);
+    constexpr size_t kCount = 1000;
+    std::vector<std::atomic<int>> runs(kCount);
+    ForEachIndex(sched.get(), kCount, [&runs](size_t i) { runs[i]++; });
+    for (size_t i = 0; i < kCount; ++i) EXPECT_EQ(runs[i].load(), 1) << i;
+  }
+}
+
+TEST(ForEachIndexTest, CallerFinishesAloneWhileEveryWorkerIsBlocked) {
+  // Both workers sit on a latch, so the helper tasks stay queued: the
+  // calling thread must claim every index itself and return without
+  // waiting for a helper that never started.
+  TaskScheduler sched(2);
+  Latch latch;
+  TaskGroup pinned(sched);
+  for (int w = 0; w < 2; ++w) {
+    sched.Submit(TaskPriority::kInteractive, pinned, [&] { latch.Block(); });
+  }
+  latch.AwaitArrivals(2);
+
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> runs(64, 0);
+  std::atomic<int> off_caller{0};
+  ForEachIndex(&sched, runs.size(), [&](size_t i) {
+    ++runs[i];
+    if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+  });
+  EXPECT_EQ(off_caller.load(), 0);
+  for (size_t i = 0; i < runs.size(); ++i) EXPECT_EQ(runs[i], 1) << i;
+
+  // The queued helpers then run on the freed workers and find no index.
+  latch.Release();
+  pinned.Wait();
+}
+
+TEST(ForEachIndexTest, NestedFanOutFromWorkersCompletes) {
+  // The sharded shape: an outer fan-out whose items run on workers (and
+  // on the caller) and fan out again on the same scheduler.
+  for (const size_t workers : {1, 2, 4}) {
+    SCOPED_TRACE(workers);
+    TaskScheduler sched(workers);
+    constexpr size_t kOuter = 6;
+    constexpr size_t kInner = 40;
+    std::vector<std::atomic<int>> runs(kOuter * kInner);
+    std::atomic<bool> outer_done{false};
+    TaskGroup group(sched);
+    sched.Submit(TaskPriority::kRebuild, group, [&] {
+      ForEachIndex(&sched, kOuter, [&](size_t o) {
+        ForEachIndex(&sched, kInner,
+                     [&, o](size_t i) { runs[o * kInner + i]++; });
+      });
+      outer_done.store(true);
+    });
+    group.Wait();
+    EXPECT_TRUE(outer_done.load());
+    for (size_t i = 0; i < runs.size(); ++i) EXPECT_EQ(runs[i].load(), 1) << i;
+  }
+}
+
+TEST(ForEachIndexTest, ZeroAndOneItems) {
+  TaskScheduler sched(2);
+  for (TaskScheduler* s : {static_cast<TaskScheduler*>(nullptr), &sched}) {
+    int calls = 0;
+    ForEachIndex(s, 0, [&calls](size_t) { ++calls; });
+    EXPECT_EQ(calls, 0);
+    // A single item runs inline on the calling thread.
+    std::thread::id ran_on;
+    ForEachIndex(s, 1, [&](size_t i) {
+      EXPECT_EQ(i, 0u);
+      ++calls;
+      ran_on = std::this_thread::get_id();
+    });
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+  }
 }
 
 }  // namespace

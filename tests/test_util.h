@@ -4,9 +4,11 @@
 #ifndef COD_TESTS_TEST_UTIL_H_
 #define COD_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <vector>
 
 #include "core/engine_core.h"
+#include "core/himor.h"
 #include "graph/attributes.h"
 #include "graph/graph.h"
 #include "hierarchy/dendrogram.h"
@@ -21,6 +23,42 @@ inline bool SameResult(const CodResult& a, const CodResult& b) {
          a.answered_from_index == b.answered_from_index &&
          a.code == b.code && a.degraded == b.degraded &&
          a.variant_served == b.variant_served;
+}
+
+// Element-wise equality of two HIMOR carries: every RR sample's bytes,
+// the pair records, the old-dendrogram arrays and the bucket rows (entries
+// in stored order).
+inline bool SameCarry(const HimorSampleCache& a, const HimorSampleCache& b) {
+  if (a.valid != b.valid || a.theta != b.theta || a.seed != b.seed ||
+      a.max_rank != b.max_rank || a.num_leaves != b.num_leaves ||
+      a.parent != b.parent || a.set_hash != b.set_hash ||
+      a.set_size != b.set_size || a.pair_begin != b.pair_begin ||
+      a.pair_pos != b.pair_pos || a.pair_tag != b.pair_tag ||
+      a.pair_node != b.pair_node ||
+      a.rr.NumSamples() != b.rr.NumSamples() ||
+      a.rr.TotalNodes() != b.rr.TotalNodes() ||
+      a.rows.size() != b.rows.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.rr.NumSamples(); ++i) {
+    const RrSlabPool::View x = a.rr.Sample(i);
+    const RrSlabPool::View y = b.rr.Sample(i);
+    if (x.source != y.source || x.node_count != y.node_count ||
+        !std::equal(x.nodes, x.nodes + x.node_count, y.nodes) ||
+        !std::equal(x.offsets, x.offsets + x.node_count + 1, y.offsets) ||
+        !std::equal(x.neighbors, x.neighbors + x.offsets[x.node_count],
+                    y.neighbors)) {
+      return false;
+    }
+  }
+  for (const auto& [hash, row] : a.rows) {
+    const auto it = b.rows.find(hash);
+    if (it == b.rows.end() || it->second.node != row.node ||
+        it->second.count != row.count) {
+      return false;
+    }
+  }
+  return true;
 }
 
 // Path 0-1-2-...-(n-1).
