@@ -84,6 +84,18 @@ class Dendrogram {
             static_cast<size_t>(leaf_end_[c] - leaf_begin_[c])};
   }
 
+  // Position of community `c`'s first member in the global leaf order.
+  uint32_t LeafBegin(CommunityId c) const {
+    COD_DCHECK(c < parent_.size());
+    return leaf_begin_[c];
+  }
+
+  // Position of node `v` in the global leaf order.
+  uint32_t LeafPosition(NodeId v) const {
+    COD_DCHECK(v < num_leaves_);
+    return leaf_position_[v];
+  }
+
   bool Contains(CommunityId c, NodeId v) const {
     COD_DCHECK(c < parent_.size());
     COD_DCHECK(v < num_leaves_);

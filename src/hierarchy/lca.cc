@@ -1,71 +1,45 @@
 #include "hierarchy/lca.h"
 
-#include <utility>
-
 namespace cod {
 
 LcaIndex::LcaIndex(const Dendrogram& dendrogram) : dendrogram_(&dendrogram) {
-  const size_t num_vertices = dendrogram.NumVertices();
-  first_.assign(num_vertices, 0);
-  euler_.reserve(2 * num_vertices);
-  euler_depth_.reserve(2 * num_vertices);
+  if (dendrogram.NumLeaves() < 2) return;
+  num_gaps_ = static_cast<uint32_t>(dendrogram.NumLeaves() - 1);
+  const uint32_t levels = std::bit_width(num_gaps_);
+  table_.resize(LevelOffset(levels));
 
-  // Euler tour: record a vertex on entry and after each child returns.
-  std::vector<std::pair<CommunityId, size_t>> stack;  // (vertex, next child)
-  stack.emplace_back(dendrogram.Root(), 0);
-  first_[dendrogram.Root()] = 0;
-  euler_.push_back(dendrogram.Root());
-  euler_depth_.push_back(dendrogram.Depth(dendrogram.Root()));
-  while (!stack.empty()) {
-    auto& [c, next] = stack.back();
-    const auto kids = dendrogram.Children(c);
-    if (next < kids.size()) {
-      const CommunityId child = kids[next++];
-      first_[child] = static_cast<uint32_t>(euler_.size());
-      euler_.push_back(child);
-      euler_depth_.push_back(dendrogram.Depth(child));
-      stack.emplace_back(child, 0);
-    } else {
-      stack.pop_back();
-      if (!stack.empty()) {
-        euler_.push_back(stack.back().first);
-        euler_depth_.push_back(dendrogram.Depth(stack.back().first));
-      }
+  // Gap i: the first ancestor of the leaf at position i whose interval goes
+  // on past i. Each vertex ends one interval, so the walks total O(V).
+  const auto order = dendrogram.Members(dendrogram.Root());
+  for (uint32_t i = 0; i < num_gaps_; ++i) {
+    CommunityId c = dendrogram.LeafOf(order[i]);
+    while (dendrogram.LeafBegin(c) + dendrogram.LeafCount(c) == i + 1) {
+      c = dendrogram.Parent(c);
     }
+    table_[i] = c;
   }
-
-  // Sparse table over euler positions, storing the position of the minimum
-  // depth in each power-of-two window.
-  const size_t m = euler_.size();
-  log2_.assign(m + 1, 0);
-  for (size_t i = 2; i <= m; ++i) log2_[i] = log2_[i / 2] + 1;
-  const uint32_t levels = log2_[m] + 1;
-  table_.resize(levels);
-  table_[0].resize(m);
-  for (uint32_t i = 0; i < m; ++i) table_[0][i] = i;
   for (uint32_t k = 1; k < levels; ++k) {
-    const size_t span = size_t{1} << k;
-    table_[k].resize(m - span + 1);
-    for (size_t i = 0; i + span <= m; ++i) {
-      const uint32_t left = table_[k - 1][i];
-      const uint32_t right = table_[k - 1][i + span / 2];
-      table_[k][i] = euler_depth_[left] <= euler_depth_[right] ? left : right;
+    const CommunityId* prev = table_.data() + LevelOffset(k - 1);
+    CommunityId* level = table_.data() + LevelOffset(k);
+    const uint32_t half = uint32_t{1} << (k - 1);
+    for (uint32_t i = 0; i + 2 * half <= num_gaps_; ++i) {
+      const CommunityId left = prev[i];
+      const CommunityId right = prev[i + half];
+      level[i] = dendrogram.Depth(left) <= dendrogram.Depth(right) ? left
+                                                                   : right;
     }
   }
-}
-
-uint32_t LcaIndex::ArgMin(uint32_t lo, uint32_t hi) const {
-  const uint32_t k = log2_[hi - lo + 1];
-  const uint32_t left = table_[k][lo];
-  const uint32_t right = table_[k][hi + 1 - (uint32_t{1} << k)];
-  return euler_depth_[left] <= euler_depth_[right] ? left : right;
 }
 
 CommunityId LcaIndex::Lca(CommunityId a, CommunityId b) const {
-  uint32_t pa = first_[a];
-  uint32_t pb = first_[b];
-  if (pa > pb) std::swap(pa, pb);
-  return euler_[ArgMin(pa, pb)];
+  if (dendrogram_->IsAncestorOrSelf(a, b)) return a;
+  if (dendrogram_->IsAncestorOrSelf(b, a)) return b;
+  // Disjoint leaf intervals: every leaf of `a` meets every leaf of `b` at
+  // the same lca, so the first leaves stand in for both.
+  uint32_t p = dendrogram_->LeafBegin(a);
+  uint32_t q = dendrogram_->LeafBegin(b);
+  if (p > q) std::swap(p, q);
+  return ShallowestGap(p, q);
 }
 
 }  // namespace cod

@@ -1,25 +1,51 @@
 #include "hierarchy/lca.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "common/random.h"
 #include "graph/generators.h"
 #include "hierarchy/agglomerative.h"
+#include "hierarchy/dendrogram_io.h"
+#include "serving/partition.h"
 #include "tests/test_util.h"
 
 namespace cod {
 namespace {
 
-// Reference implementation: walk parents upward.
+// Reference implementation: walk parents upward, deeper side first.
 CommunityId NaiveLca(const Dendrogram& d, CommunityId a, CommunityId b) {
-  std::vector<char> on_path(d.NumVertices(), 0);
-  for (CommunityId c = a; c != kInvalidCommunity; c = d.Parent(c)) {
-    on_path[c] = 1;
+  while (d.Depth(a) > d.Depth(b)) a = d.Parent(a);
+  while (d.Depth(b) > d.Depth(a)) b = d.Parent(b);
+  while (a != b) {
+    a = d.Parent(a);
+    b = d.Parent(b);
   }
-  for (CommunityId c = b; c != kInvalidCommunity; c = d.Parent(c)) {
-    if (on_path[c]) return c;
+  return a;
+}
+
+// Every vertex pair through Lca and every node pair through LcaOfNodes, in
+// both argument orders, against NaiveLca.
+void ExpectAllPairsMatchNaive(const Dendrogram& d) {
+  const LcaIndex lca(d);
+  size_t mismatches = 0;
+  std::string first;
+  for (CommunityId a = 0; a < d.NumVertices(); ++a) {
+    for (CommunityId b = a; b < d.NumVertices(); ++b) {
+      const CommunityId want = NaiveLca(d, a, b);
+      bool ok = lca.Lca(a, b) == want && lca.Lca(b, a) == want;
+      if (d.IsLeaf(b)) {
+        ok = ok && lca.LcaOfNodes(d.LeafNode(a), d.LeafNode(b)) == want &&
+             lca.LcaOfNodes(d.LeafNode(b), d.LeafNode(a)) == want;
+      }
+      if (!ok && mismatches++ == 0) {
+        first = "a=" + std::to_string(a) + " b=" + std::to_string(b);
+      }
+    }
   }
-  return kInvalidCommunity;
+  EXPECT_EQ(mismatches, 0u) << "first mismatch: " << first;
 }
 
 TEST(LcaTest, PaperExample) {
@@ -31,6 +57,7 @@ TEST(LcaTest, PaperExample) {
   EXPECT_EQ(lca.LcaOfNodes(0, 4), ex.c4);
   EXPECT_EQ(lca.LcaOfNodes(0, 9), ex.c6);
   EXPECT_EQ(lca.LcaOfNodes(8, 9), ex.c5);
+  ExpectAllPairsMatchNaive(ex.dendrogram);
 }
 
 TEST(LcaTest, SelfLcaIsSelf) {
@@ -41,19 +68,55 @@ TEST(LcaTest, SelfLcaIsSelf) {
   }
 }
 
-TEST(LcaTest, NodeCommunityLca) {
-  const auto ex = testing::MakePaperExample();
-  const LcaIndex lca(ex.dendrogram);
-  EXPECT_EQ(lca.LcaNodeCommunity(4, ex.c3), ex.c4);
-  EXPECT_EQ(lca.LcaNodeCommunity(0, ex.c0), ex.c0);
-  EXPECT_EQ(lca.LcaNodeCommunity(8, ex.c4), ex.c6);
-}
-
 TEST(LcaTest, AncestorLcaIsAncestor) {
   const auto ex = testing::MakePaperExample();
   const LcaIndex lca(ex.dendrogram);
   EXPECT_EQ(lca.Lca(ex.c0, ex.c3), ex.c3);
   EXPECT_EQ(lca.Lca(ex.c3, ex.c6), ex.c6);
+}
+
+TEST(LcaTest, OneAndTwoLeaves) {
+  const Dendrogram one = DendrogramBuilder(1).Build();
+  const LcaIndex lca_one(one);
+  EXPECT_EQ(lca_one.Lca(0, 0), 0u);
+  EXPECT_EQ(lca_one.LcaOfNodes(0, 0), 0u);
+
+  DendrogramBuilder builder(2);
+  const CommunityId root = builder.Merge(1, 0);  // leaf order 1, 0
+  const Dendrogram two = std::move(builder).Build();
+  const LcaIndex lca_two(two);
+  EXPECT_EQ(lca_two.LcaOfNodes(0, 1), root);
+  EXPECT_EQ(lca_two.LcaOfNodes(1, 1), 1u);
+  ExpectAllPairsMatchNaive(one);
+  ExpectAllPairsMatchNaive(two);
+}
+
+TEST(LcaTest, FlatRootOverComponents) {
+  const testing::World w = testing::MakeMultiComponentWorld(7);
+  const Dendrogram d = AgglomerativeCluster(w.graph);
+  ASSERT_GT(d.Children(d.Root()).size(), 2u);  // one child per component
+  ExpectAllPairsMatchNaive(d);
+}
+
+TEST(LcaTest, ShardWithThousandsOfIsolatedLeaves) {
+  const testing::World w = testing::MakeMultiComponentWorld(8, 1000);
+  const GraphPartition part = PartitionGraph(
+      w.graph, w.attrs, 3, PartitionStrategy::kConnectedComponents);
+  const Dendrogram d = AgglomerativeCluster(BuildShardGraph(w.graph, part, 0));
+  // The shard's component root plus the other shards' 2,000 nodes.
+  ASSERT_GE(d.Children(d.Root()).size(), 2001u);
+  ExpectAllPairsMatchNaive(d);
+}
+
+TEST(LcaTest, SnapshotCodecRoundTrip) {
+  Rng rng(9);
+  const Graph g = EnsureConnected(ErdosRenyi(120, 300, rng), rng);
+  BinaryBufferWriter out;
+  SerializeDendrogram(AgglomerativeCluster(g), out);
+  BinarySpanReader in(out.bytes(), "dendrogram");
+  Result<Dendrogram> d = DeserializeDendrogram(in);
+  ASSERT_TRUE(d.ok()) << d.status().message();
+  ExpectAllPairsMatchNaive(*d);
 }
 
 class LcaRandomTest : public ::testing::TestWithParam<uint64_t> {};
@@ -62,15 +125,7 @@ TEST_P(LcaRandomTest, MatchesNaiveOnRandomDendrograms) {
   Rng rng(GetParam());
   const size_t n = 30 + rng.UniformInt(170);
   const Graph g = EnsureConnected(ErdosRenyi(n, 3 * n, rng), rng);
-  const Dendrogram d = AgglomerativeCluster(g);
-  const LcaIndex lca(d);
-  for (int trial = 0; trial < 500; ++trial) {
-    const CommunityId a =
-        static_cast<CommunityId>(rng.UniformInt(d.NumVertices()));
-    const CommunityId b =
-        static_cast<CommunityId>(rng.UniformInt(d.NumVertices()));
-    EXPECT_EQ(lca.Lca(a, b), NaiveLca(d, a, b)) << "a=" << a << " b=" << b;
-  }
+  ExpectAllPairsMatchNaive(AgglomerativeCluster(g));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LcaRandomTest,

@@ -39,10 +39,8 @@ uint64_t FuzzSeed(uint64_t offset) {
   return base + offset;
 }
 
-struct World {
-  Graph graph;
-  AttributeTable attrs;
-};
+using testing::MakeMultiComponentWorld;
+using testing::World;
 
 World MakeWorld(uint64_t seed, size_t n = 200) {
   Rng rng(seed);
@@ -55,38 +53,6 @@ World MakeWorld(uint64_t seed, size_t n = 200) {
   World w;
   w.attrs = AssignCorrelatedAttributes(gen.block, 4, 0.8, 0.1, rng);
   w.graph = std::move(gen.graph);
-  return w;
-}
-
-// Three disjoint planted-partition parts: several connected components, so
-// component-scoped materialization drops the impure merge vertices that the
-// dendrogram stacks above them.
-World MakeMultiComponentWorld(uint64_t seed, size_t part_nodes = 70) {
-  constexpr size_t kParts = 3;
-  Rng rng(seed);
-  GraphBuilder b(kParts * part_nodes);
-  std::vector<uint32_t> block(kParts * part_nodes);
-  uint32_t block_base = 0;
-  for (size_t p = 0; p < kParts; ++p) {
-    HppParams params;
-    params.num_nodes = part_nodes;
-    params.num_edges = 4 * part_nodes;
-    params.levels = 2;
-    params.fanout = 3;
-    const GeneratedGraph part = HierarchicalPlantedPartition(params, rng);
-    const NodeId base = static_cast<NodeId>(p * part_nodes);
-    for (EdgeId e = 0; e < part.graph.NumEdges(); ++e) {
-      const auto [u, v] = part.graph.Endpoints(e);
-      b.AddEdge(base + u, base + v, part.graph.Weight(e));
-    }
-    for (NodeId v = 0; v < part_nodes; ++v) {
-      block[base + v] = block_base + part.block[v];
-    }
-    block_base += part.num_blocks;
-  }
-  World w;
-  w.graph = std::move(b).Build();
-  w.attrs = AssignCorrelatedAttributes(block, 4, 0.8, 0.1, rng);
   return w;
 }
 

@@ -7,9 +7,11 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/random.h"
 #include "core/engine_core.h"
 #include "core/himor.h"
 #include "graph/attributes.h"
+#include "graph/generators.h"
 #include "graph/graph.h"
 #include "hierarchy/dendrogram.h"
 
@@ -88,6 +90,44 @@ inline Graph MakeTwoCliquesWithBridge(size_t k) {
   }
   b.AddEdge(static_cast<NodeId>(k - 1), static_cast<NodeId>(k));
   return std::move(b).Build();
+}
+
+// A graph with the attribute table drawn for it.
+struct World {
+  Graph graph;
+  AttributeTable attrs;
+};
+
+// Three disjoint planted-partition parts: several connected components, so
+// the dendrogram stacks impure merge vertices above them and
+// component-scoped materialization drops those.
+inline World MakeMultiComponentWorld(uint64_t seed, size_t part_nodes = 70) {
+  constexpr size_t kParts = 3;
+  Rng rng(seed);
+  GraphBuilder b(kParts * part_nodes);
+  std::vector<uint32_t> block(kParts * part_nodes);
+  uint32_t block_base = 0;
+  for (size_t p = 0; p < kParts; ++p) {
+    HppParams params;
+    params.num_nodes = part_nodes;
+    params.num_edges = 4 * part_nodes;
+    params.levels = 2;
+    params.fanout = 3;
+    const GeneratedGraph part = HierarchicalPlantedPartition(params, rng);
+    const NodeId base = static_cast<NodeId>(p * part_nodes);
+    for (EdgeId e = 0; e < part.graph.NumEdges(); ++e) {
+      const auto [u, v] = part.graph.Endpoints(e);
+      b.AddEdge(base + u, base + v, part.graph.Weight(e));
+    }
+    for (NodeId v = 0; v < part_nodes; ++v) {
+      block[base + v] = block_base + part.block[v];
+    }
+    block_base += part.num_blocks;
+  }
+  World w;
+  w.graph = std::move(b).Build();
+  w.attrs = AssignCorrelatedAttributes(block, 4, 0.8, 0.1, rng);
+  return w;
 }
 
 // The paper's Fig. 2 example: 10 nodes, 15 edges, hierarchy
