@@ -113,7 +113,10 @@ class BinarySpanReader {
                   " exceeds remaining bytes");
     }
     values->resize(size);
-    std::memcpy(values->data(), bytes_.data() + off_, size * sizeof(T));
+    // An empty vector's data() may be null, which memcpy must never get.
+    if (size > 0) {
+      std::memcpy(values->data(), bytes_.data() + off_, size * sizeof(T));
+    }
     off_ += size * sizeof(T);
     return true;
   }

@@ -75,16 +75,18 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 CompressedEvaluator::CompressedEvaluator(const DiffusionModel& model,
-                                         uint32_t theta)
-    : model_(&model), theta_(theta), pool_builder_(model) {
+                                         uint32_t theta,
+                                         std::span<const NodeId> node_keys)
+    : model_(&model), theta_(theta), pool_builder_(model, node_keys) {
   COD_CHECK(theta > 0);
 }
 
-void CompressedEvaluator::Rebind(const DiffusionModel& model, uint32_t theta) {
+void CompressedEvaluator::Rebind(const DiffusionModel& model, uint32_t theta,
+                                 std::span<const NodeId> node_keys) {
   COD_CHECK(theta > 0);
   model_ = &model;
   theta_ = theta;
-  pool_builder_.Rebind(model);
+  pool_builder_.Rebind(model, node_keys);
   last_explored_nodes_ = 0;
   last_samples_ = 0;
   last_sample_seconds_ = 0.0;

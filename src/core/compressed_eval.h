@@ -78,13 +78,18 @@ struct ChainEvalOutcome {
 // one evaluator per thread (see core/query_workspace.h).
 class CompressedEvaluator {
  public:
-  // `theta`: RR graphs sampled per universe node.
-  CompressedEvaluator(const DiffusionModel& model, uint32_t theta);
+  // `theta`: RR graphs sampled per universe node. `node_keys` (borrowed;
+  // empty = identity) keys each source's samples by its global id on a
+  // compact shard (NodeKey in graph/graph.h).
+  CompressedEvaluator(const DiffusionModel& model, uint32_t theta,
+                      std::span<const NodeId> node_keys = {});
 
-  // Re-targets the evaluator at a (possibly different) model and theta,
-  // reusing scratch allocations (slab capacity included). Lets a per-thread
-  // workspace follow serving epoch swaps without being reconstructed.
-  void Rebind(const DiffusionModel& model, uint32_t theta);
+  // Re-targets the evaluator at a (possibly different) model, theta and
+  // node keys, reusing scratch allocations (slab capacity included). Lets a
+  // per-thread workspace follow serving epoch swaps without being
+  // reconstructed.
+  void Rebind(const DiffusionModel& model, uint32_t theta,
+              std::span<const NodeId> node_keys = {});
 
   ChainEvalOutcome Evaluate(const CodChain& chain, NodeId q, uint32_t k,
                             Rng& rng) {

@@ -231,12 +231,17 @@ Result<std::unique_ptr<EngineCore>> EngineCore::FromPrebuilt(
     std::shared_ptr<const Graph> graph,
     std::shared_ptr<const AttributeTable> attrs, const EngineOptions& options,
     Dendrogram base_hierarchy, std::optional<HimorIndex> himor,
-    std::optional<CoverageSketchIndex> sketch, bool index_absent_degraded) {
+    std::optional<CoverageSketchIndex> sketch, bool index_absent_degraded,
+    std::shared_ptr<const GlobalIds> global_ids) {
   if (graph == nullptr || attrs == nullptr) {
     return Status::InvalidArgument("FromPrebuilt requires graph and attrs");
   }
-  if (graph->NumNodes() < 2) {
-    return Status::InvalidArgument("prebuilt graph has fewer than 2 nodes");
+  if (graph->NumNodes() == 1 && !options.component_scoped) {
+    return Status::InvalidArgument(
+        "a one-node graph has no community hierarchy to query");
+  }
+  if (global_ids != nullptr) {
+    COD_RETURN_IF_ERROR(ValidateGlobalIds(*global_ids, graph->NumNodes()));
   }
   if (attrs->NumNodes() != graph->NumNodes()) {
     return Status::InvalidArgument(
@@ -294,6 +299,7 @@ Result<std::unique_ptr<EngineCore>> EngineCore::FromPrebuilt(
   std::unique_ptr<EngineCore> core(new EngineCore(
       PrebuiltTag{}, std::move(graph), std::move(attrs), options,
       std::move(base_hierarchy)));
+  core->global_ids_ = std::move(global_ids);
   if (himor.has_value()) {
     core->himor_ = std::move(himor);
     core->sketch_ = std::move(sketch);
@@ -1045,7 +1051,8 @@ Status EngineCore::TryBuildHimorDelta(uint64_t seed, const Budget& budget,
   Result<HimorIndex> built = HimorIndex::BuildDelta(
       model_, base_, lca_, options_.theta, seed, options_.himor_max_rank,
       budget, options_.component_scoped ? &comp_size_of_node_ : nullptr,
-      dirty, prev, next, stats, options_.sketch_bits, &sketch, scheduler);
+      dirty, prev, next, stats, options_.sketch_bits, &sketch, scheduler,
+      node_keys());
   if (!built.ok()) return built.status();
   himor_ = std::move(built).value();
   // A failed build never reaches this, keeping the previous index+sketch

@@ -240,12 +240,18 @@ class EngineCore {
   // present and is validated against the graph/hierarchy shape. A missing
   // sketch is never an error — the core just serves without pruning or the
   // sketch rung (sketch loss degrades latency, not answers).
+  // `global_ids` (null for a core over the whole graph) places a compact
+  // shard's nodes in the whole graph; it must cover exactly the graph's
+  // nodes, strictly ascending (ValidateGlobalIds). An empty graph is legal
+  // (an empty shard: no node to query); a one-node graph only when the core
+  // is component-scoped, which answers a singleton without the hierarchy.
   static Result<std::unique_ptr<EngineCore>> FromPrebuilt(
       std::shared_ptr<const Graph> graph,
       std::shared_ptr<const AttributeTable> attrs,
       const EngineOptions& options, Dendrogram base_hierarchy,
       std::optional<HimorIndex> himor,
-      std::optional<CoverageSketchIndex> sketch, bool index_absent_degraded);
+      std::optional<CoverageSketchIndex> sketch, bool index_absent_degraded,
+      std::shared_ptr<const GlobalIds> global_ids = nullptr);
 
   EngineCore(const EngineCore&) = delete;
   EngineCore& operator=(const EngineCore&) = delete;
@@ -256,6 +262,21 @@ class EngineCore {
   const Dendrogram& base_hierarchy() const { return base_; }
   const LcaIndex& base_lca() const { return lca_; }
   const EngineOptions& options() const { return options_; }
+  // Where this core's nodes sit in the whole graph when it serves a compact
+  // shard (serving/partition.h); null for a core over the whole graph.
+  // Queries speak local ids; the ids only key the node-keyed random
+  // schedules (HIMOR stage 1 and its delta resample, the query-time RR
+  // pools, sketch ranks), so a shard answers bit-identically to a
+  // whole-graph component-scoped core.
+  const std::shared_ptr<const GlobalIds>& global_ids() const {
+    return global_ids_;
+  }
+  // global_ids()->global, or empty (the identity) without a map: the keys
+  // NodeKey reads.
+  std::span<const NodeId> node_keys() const {
+    if (global_ids_ == nullptr) return {};
+    return global_ids_->global;
+  }
 
   // ---- Chain builders (exposed for benches and tests). ----
   CodChain BuildCoduChain(NodeId q) const;
@@ -442,6 +463,7 @@ class EngineCore {
   std::optional<HimorIndex> himor_;
   std::optional<CoverageSketchIndex> sketch_;
   bool index_absent_degraded_ = false;
+  std::shared_ptr<const GlobalIds> global_ids_;
   // Per-node connected-component sizes, filled only when
   // options_.component_scoped (empty otherwise).
   std::vector<uint32_t> comp_size_of_node_;

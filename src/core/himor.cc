@@ -215,7 +215,8 @@ uint64_t LeafFingerprint(NodeId v) {
 std::optional<CoverageSketchBuilder> MaybeSketchBuilder(
     const Dendrogram& dendrogram, uint64_t schedule_seed, uint32_t theta,
     uint32_t max_rank, uint32_t sketch_bits,
-    std::optional<CoverageSketchIndex>* sketch) {
+    std::optional<CoverageSketchIndex>* sketch,
+    std::span<const NodeId> node_keys) {
   if (sketch != nullptr) sketch->reset();
   if (sketch == nullptr || sketch_bits == 0 ||
       COD_FAILPOINT("influence/sketch_build")) {
@@ -223,7 +224,7 @@ std::optional<CoverageSketchBuilder> MaybeSketchBuilder(
   }
   return std::make_optional<CoverageSketchBuilder>(
       dendrogram.NumVertices(), dendrogram.NumLeaves(), schedule_seed, theta,
-      sketch_bits, max_rank);
+      sketch_bits, max_rank, node_keys);
 }
 
 // Cold stage 1 runs as contiguous source ranges. Their length depends on
@@ -483,11 +484,12 @@ Result<HimorIndex> HimorIndex::BuildDelta(
     const std::vector<char>* dirty, HimorSampleCache* prev,
     HimorSampleCache* next, HimorDeltaStats* stats,
     uint32_t sketch_bits, std::optional<CoverageSketchIndex>* sketch,
-    TaskScheduler* scheduler) {
+    TaskScheduler* scheduler, std::span<const NodeId> node_keys) {
   COD_CHECK(theta > 0);
   COD_CHECK(max_rank > 0);
   const size_t n = model.graph().NumNodes();
   COD_CHECK_EQ(n, dendrogram.NumLeaves());
+  COD_CHECK(node_keys.empty() || node_keys.size() == n);
   // Carry is recorded only into `next`, and reuse needs somewhere to put it.
   COD_CHECK(next == nullptr ? prev == nullptr : next != prev);
   if (comp_size_of_node != nullptr) {
@@ -498,8 +500,11 @@ Result<HimorIndex> HimorIndex::BuildDelta(
     return Status::IoError("failpoint himor/build armed");
   }
 
-  const uint64_t num_samples = uint64_t{n} * theta;
   const size_t num_vertices = dendrogram.NumVertices();
+  // A graph of at most one node has no community above its leaves, so
+  // there is nothing to rank and nothing to sample.
+  const size_t num_sources = num_vertices > n ? n : 0;
+  const uint64_t num_samples = uint64_t{num_sources} * theta;
 
   // A previous-epoch cache is only consulted when it was produced by the
   // same (theta, seed, max_rank) schedule on a same-sized graph, together
@@ -574,7 +579,7 @@ Result<HimorIndex> HimorIndex::BuildDelta(
       }
     }
     std::optional<CoverageSketchBuilder> sb = MaybeSketchBuilder(
-        dendrogram, seed, theta, max_rank, sketch_bits, sketch);
+        dendrogram, seed, theta, max_rank, sketch_bits, sketch, node_keys);
     HimorIndex index = BuildFromItems(
         dendrogram, max_rank,
         [&buckets](CommunityId c, auto&& emit) {
@@ -596,8 +601,8 @@ Result<HimorIndex> HimorIndex::BuildDelta(
     // range order they equal what one serial pass produces. Every range
     // polls the budget per source and stops once any range has failed;
     // failures are all-or-nothing — nothing partial is kept.
-    const size_t range_len = StageOneRangeLength(n, theta);
-    const size_t num_ranges = NumStageOneRanges(n, theta);
+    const size_t range_len = StageOneRangeLength(num_sources, theta);
+    const size_t num_ranges = NumStageOneRanges(num_sources, theta);
     std::vector<std::vector<std::pair<CommunityId, NodeId>>> pairs(num_ranges);
     // Ranges that run one after another in source order (one range, or no
     // scheduler) record their carry straight into `next`.
@@ -608,7 +613,7 @@ Result<HimorIndex> HimorIndex::BuildDelta(
     ForEachIndex(scheduler, num_ranges, [&](size_t r) {
       TreeHfsSampler walker(model, dendrogram, lca, max_depth);
       HimorSampleCache* sink = carry.empty() ? next : &carry[r];
-      const size_t end = std::min(n, (r + 1) * range_len);
+      const size_t end = std::min(num_sources, (r + 1) * range_len);
       for (size_t source = r * range_len; source < end; ++source) {
         if (failed.load(std::memory_order_relaxed) != StatusCode::kOk) return;
         const StatusCode code = budget.ExhaustedCode();
@@ -618,8 +623,10 @@ Result<HimorIndex> HimorIndex::BuildDelta(
           return;
         }
         walker.BeginSource(static_cast<NodeId>(source));
+        const uint64_t key =
+            NodeKey(node_keys, static_cast<NodeId>(source));
         for (uint32_t j = 0; j < theta; ++j) {
-          Rng rng(RrSampleSeed(seed, uint64_t{source} * theta + j));
+          Rng rng(RrSampleSeed(seed, key * theta + j));
           walker.SampleAndWalk(rng, &pairs[r], sink);
           if (sink != nullptr) {
             sink->rr.Append(walker.last_rr());
@@ -833,7 +840,8 @@ Result<HimorIndex> HimorIndex::BuildDelta(
         flush_pairs();
         flush_run();
         const uint64_t pair_base = next->pair_node.size();
-        Rng rng(RrSampleSeed(seed, idx));
+        Rng rng(RrSampleSeed(
+            seed, uint64_t{NodeKey(node_keys, source)} * theta + j));
         worker.SampleAndWalk(rng, /*pairs=*/nullptr, next);
         next->rr.Append(worker.last_rr());
         for (uint64_t k = kb; k < ke; ++k) {
@@ -1088,7 +1096,7 @@ Result<HimorIndex> HimorIndex::BuildDelta(
   // recomputed ones, and the resulting sketch equals a cold build's.
   std::optional<CoverageSketchBuilder> sb =
       MaybeSketchBuilder(dendrogram, seed, theta, max_rank, sketch_bits,
-                         sketch);
+                         sketch, node_keys);
   HimorIndex index = BuildFromItems(
       dendrogram, max_rank,
       [&](CommunityId c, auto&& emit) {

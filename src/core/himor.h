@@ -166,6 +166,13 @@ class HimorIndex {
   // sketch_bits == 0) leaves *sketch empty while the index itself still
   // builds — sketch loss degrades pruning, never correctness.
   //
+  // Node keys: on a compact shard `node_keys` (GlobalIds::global, empty =
+  // identity) replaces each source's id in its sample seeds,
+  // RrSampleSeed(seed, NodeKey(node_keys, s) * theta + j), and each node's
+  // sketch rank, so a shard draws exactly the samples a whole-graph build
+  // draws for the same nodes. A graph of at most one node has no community
+  // above its leaves: it samples nothing and its index is empty.
+  //
   // Incremental construction (the delta-rebuild serving mode): with a valid
   // `prev` plus the `dirty` bitmap of vertices incident to any edge changed
   // since prev's epoch, each sample takes the cheapest sound tier:
@@ -200,7 +207,8 @@ class HimorIndex {
       HimorSampleCache* next, HimorDeltaStats* stats,
       uint32_t sketch_bits = 0,
       std::optional<CoverageSketchIndex>* sketch = nullptr,
-      TaskScheduler* scheduler = nullptr);
+      TaskScheduler* scheduler = nullptr,
+      std::span<const NodeId> node_keys = {});
 
   // The cold build without carry: BuildDelta with null dirty/prev/next.
   static Result<HimorIndex> Build(

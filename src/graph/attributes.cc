@@ -58,4 +58,18 @@ AttributeTable AttributeTableBuilder::Build(size_t num_nodes) && {
   return table;
 }
 
+AttributeTable SubsetAttributes(const AttributeTable& attrs,
+                                std::span<const NodeId> nodes) {
+  AttributeTableBuilder builder;
+  for (AttributeId a = 0; a < attrs.NumAttributes(); ++a) {
+    builder.Intern(attrs.Name(a));
+  }
+  for (size_t local = 0; local < nodes.size(); ++local) {
+    for (const AttributeId a : attrs.AttributesOf(nodes[local])) {
+      builder.Add(static_cast<NodeId>(local), a);
+    }
+  }
+  return std::move(builder).Build(nodes.size());
+}
+
 }  // namespace cod

@@ -85,6 +85,12 @@ class AttributeTableBuilder {
   std::unordered_map<std::string, AttributeId> index_;
 };
 
+// The rows of `nodes` (ids of `attrs`, in the order given) as a table over
+// nodes 0..nodes.size()-1. Every name stays interned under its id, so
+// attribute ids mean the same in the subset as in `attrs`.
+AttributeTable SubsetAttributes(const AttributeTable& attrs,
+                                std::span<const NodeId> nodes);
+
 // An attributed graph: the structural graph plus its attribute table.
 struct AttributedGraph {
   Graph graph;

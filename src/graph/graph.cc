@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <string>
 
 namespace cod {
 
@@ -97,6 +98,24 @@ InducedSubgraph BuildInducedSubgraph(const Graph& g,
   }
   sub.graph = std::move(builder).Build();
   return sub;
+}
+
+Status ValidateGlobalIds(const GlobalIds& ids, size_t num_nodes) {
+  if (ids.global.size() != num_nodes) {
+    return Status::InvalidArgument("global id map covers " +
+                                   std::to_string(ids.global.size()) +
+                                   " nodes, the graph has " +
+                                   std::to_string(num_nodes));
+  }
+  for (size_t v = 0; v < ids.global.size(); ++v) {
+    if (ids.global[v] >= ids.global_nodes) {
+      return Status::InvalidArgument("global id out of range");
+    }
+    if (v > 0 && ids.global[v] <= ids.global[v - 1]) {
+      return Status::InvalidArgument("global ids not strictly ascending");
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace cod

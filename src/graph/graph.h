@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/status.h"
 
 namespace cod {
 
@@ -121,6 +122,29 @@ struct InducedSubgraph {
 // allowed). Nodes keep the relative order given in `nodes`.
 InducedSubgraph BuildInducedSubgraph(const Graph& g,
                                      std::span<const NodeId> nodes);
+
+// Where the nodes of a compact subgraph sit in a larger graph (a shard's
+// nodes in the whole graph): local node v is node `global[v]` of a
+// `global_nodes`-node graph. `global` is strictly ascending, so relabelling
+// keeps every id order (and with it every order-based tie break).
+struct GlobalIds {
+  uint64_t global_nodes = 0;
+  std::vector<NodeId> global;
+
+  bool operator==(const GlobalIds&) const = default;
+};
+
+// The id that keys node v's random schedules (its RR samples, its sketch
+// rank): v itself, or its global id when `keys` maps a compact shard into
+// the whole graph (GlobalIds::global; empty = identity). Keying by global
+// id makes a shard draw exactly what a whole-graph engine draws for v.
+inline NodeId NodeKey(std::span<const NodeId> keys, NodeId v) {
+  return keys.empty() ? v : keys[v];
+}
+
+// InvalidArgument unless `ids` maps exactly `num_nodes` local nodes,
+// strictly ascending, into [0, global_nodes).
+Status ValidateGlobalIds(const GlobalIds& ids, size_t num_nodes);
 
 }  // namespace cod
 

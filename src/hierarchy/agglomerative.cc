@@ -127,7 +127,6 @@ Result<Dendrogram> AgglomerativeClusterDelta(
     const std::vector<char>* dirty, const ClusterReplay* prev,
     ClusterReplay* next) {
   const size_t n = g.NumNodes();
-  COD_CHECK(n >= 1);
   if (next != nullptr) {
     COD_CHECK(next != prev);
     next->valid = false;
@@ -136,9 +135,12 @@ Result<Dendrogram> AgglomerativeClusterDelta(
     next->components.clear();
   }
   DendrogramBuilder builder(n);
-  if (n == 1) {
+  if (n <= 1) {
+    // No merges: the empty hierarchy, or one leaf that is its own root.
     if (next != nullptr) {
-      next->components.push_back(ClusterReplay::ComponentRec{0, 1, {}});
+      if (n == 1) {
+        next->components.push_back(ClusterReplay::ComponentRec{0, 1, {}});
+      }
       next->valid = true;
     }
     return std::move(builder).Build();

@@ -79,7 +79,8 @@ struct ClusterReplay {
 };
 
 // Clusters `g` (using its edge weights) into a binary-until-the-last-pass
-// dendrogram. Works for any graph with at least one node.
+// dendrogram. Works for any graph; an empty graph gives the empty
+// hierarchy (no vertices).
 Dendrogram AgglomerativeCluster(const Graph& g,
                                 const AgglomerativeOptions& options = {});
 

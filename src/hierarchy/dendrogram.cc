@@ -17,9 +17,7 @@ std::vector<CommunityId> Dendrogram::PathToRoot(NodeId q) const {
 DendrogramBuilder::DendrogramBuilder(size_t num_leaves)
     : num_leaves_(num_leaves),
       parent_(num_leaves, kInvalidCommunity),
-      children_(num_leaves) {
-  COD_CHECK(num_leaves >= 1);
-}
+      children_(num_leaves) {}
 
 CommunityId DendrogramBuilder::Merge(std::span<const CommunityId> children) {
   COD_CHECK(children.size() >= 2);
@@ -48,7 +46,8 @@ Dendrogram DendrogramBuilder::Build() && {
       d.root_ = c;
     }
   }
-  COD_CHECK(d.root_ != kInvalidCommunity);
+  // Only the empty hierarchy (no leaves) has no root.
+  COD_CHECK((d.root_ != kInvalidCommunity) == (num_vertices > 0));
 
   // CSR children.
   d.child_offsets_.assign(num_vertices + 1, 0);
@@ -70,8 +69,10 @@ Dendrogram DendrogramBuilder::Build() && {
 
   // Stack entries: (vertex, entering). On exit, the leaf range closes.
   std::vector<std::pair<CommunityId, bool>> stack;
-  stack.emplace_back(d.root_, true);
-  d.depth_[d.root_] = 1;
+  if (num_vertices > 0) {
+    stack.emplace_back(d.root_, true);
+    d.depth_[d.root_] = 1;
+  }
   while (!stack.empty()) {
     auto [c, entering] = stack.back();
     stack.pop_back();

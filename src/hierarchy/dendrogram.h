@@ -145,7 +145,9 @@ class DendrogramBuilder {
   // Number of vertices created so far (leaves + internal).
   size_t NumVertices() const { return parent_.size(); }
 
-  // Finalizes; every vertex except exactly one must have a parent.
+  // Finalizes; every vertex except exactly one must have a parent. With no
+  // leaves this is the empty hierarchy: no vertices, Root() ==
+  // kInvalidCommunity (an empty shard's).
   Dendrogram Build() &&;
 
  private:

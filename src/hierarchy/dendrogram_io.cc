@@ -30,8 +30,9 @@ Result<Dendrogram> DeserializeDendrogram(BinarySpanReader& in) {
   if (!in.ReadPod(&num_leaves) || !in.ReadPod(&num_vertices)) {
     return in.status();
   }
-  if (num_leaves == 0 || num_leaves > kMaxLeaves ||
-      num_vertices < num_leaves || num_vertices > 2 * num_leaves) {
+  // The empty hierarchy (no leaves, no vertices) is legal: an empty shard.
+  if (num_leaves > kMaxLeaves || num_vertices < num_leaves ||
+      num_vertices > 2 * num_leaves) {
     in.Fail("corrupt dendrogram header");
     return in.status();
   }
@@ -57,7 +58,7 @@ Result<Dendrogram> DeserializeDendrogram(BinarySpanReader& in) {
   // Exactly one root must remain or Build() would abort on corrupt input.
   size_t roots = 0;
   for (uint64_t c = 0; c < num_vertices; ++c) roots += !has_parent[c];
-  if (roots != 1) {
+  if (roots != (num_vertices > 0 ? 1u : 0u)) {
     in.Fail("hierarchy is not a single tree");
     return in.status();
   }

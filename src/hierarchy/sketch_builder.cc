@@ -18,8 +18,10 @@ CoverageSketchBuilder::CoverageSketchBuilder(size_t num_vertices,
                                              uint64_t schedule_seed,
                                              uint32_t theta,
                                              uint32_t sketch_bits,
-                                             uint32_t rank_depth)
+                                             uint32_t rank_depth,
+                                             std::span<const NodeId> node_keys)
     : schedule_seed_(schedule_seed),
+      node_keys_(node_keys),
       theta_(theta),
       sketch_bits_(sketch_bits),
       rank_depth_(rank_depth),
@@ -38,7 +40,7 @@ void CoverageSketchBuilder::MergeUp(
   // large buckets near the root.
   cur_.clear();
   for (const auto& [count, node] : bucket) {
-    cur_.push_back(SketchNodeRank(schedule_seed_, node));
+    cur_.push_back(SketchNodeRank(schedule_seed_, NodeKey(node_keys_, node)));
   }
   std::sort(cur_.begin(), cur_.end());
   cur_.erase(std::unique(cur_.begin(), cur_.end()), cur_.end());

@@ -40,9 +40,12 @@ class CoverageSketchBuilder {
   // `num_vertices` counts dendrogram vertices (leaves + internal),
   // `num_nodes` graph nodes. (schedule_seed, theta) must be the schedule
   // the surrounding HIMOR build samples with; rank_depth its max_rank.
+  // `node_keys` (borrowed; empty = identity) are the global ids that key
+  // each node's SketchNodeRank on a compact shard (NodeKey).
   CoverageSketchBuilder(size_t num_vertices, size_t num_nodes,
                         uint64_t schedule_seed, uint32_t theta,
-                        uint32_t sketch_bits, uint32_t rank_depth);
+                        uint32_t sketch_bits, uint32_t rank_depth,
+                        std::span<const NodeId> node_keys = {});
 
   // Called once per non-leaf community, children-first. `bucket` is the
   // community's own sorted bucket run (count, node): the nodes first
@@ -64,6 +67,7 @@ class CoverageSketchBuilder {
 
  private:
   uint64_t schedule_seed_;
+  std::span<const NodeId> node_keys_;
   uint32_t theta_;
   uint32_t sketch_bits_;
   uint32_t rank_depth_;

@@ -132,11 +132,14 @@ void RrSlabPool::AppendRange(const RrSlabPool& other, size_t begin,
   }
 }
 
-ParallelRrPool::ParallelRrPool(const DiffusionModel& model)
-    : model_(&model) {}
+ParallelRrPool::ParallelRrPool(const DiffusionModel& model,
+                               std::span<const NodeId> node_keys)
+    : model_(&model), node_keys_(node_keys) {}
 
-void ParallelRrPool::Rebind(const DiffusionModel& model) {
+void ParallelRrPool::Rebind(const DiffusionModel& model,
+                            std::span<const NodeId> node_keys) {
   model_ = &model;
+  node_keys_ = node_keys;
   for (auto& chunk : chunks_) chunk->sampler.Rebind(model);
 }
 
@@ -174,7 +177,8 @@ StatusCode ParallelRrPool::BuildSerial(std::span<const NodeId> sources,
       return code;
     }
     const NodeId source = sources[s / theta];
-    Rng rng(RrSampleSeed(pool_seed, uint64_t{source} * theta + s % theta));
+    Rng rng(RrSampleSeed(
+        pool_seed, uint64_t{NodeKey(node_keys_, source)} * theta + s % theta));
     cs.sampler.SampleRestricted(source, allowed, rng, &cs.rr);
     out->Append(cs.rr);
     ++stats->samples;
@@ -229,7 +233,9 @@ StatusCode ParallelRrPool::Build(std::span<const NodeId> sources,
           break;
         }
         const NodeId source = sources[s / theta];
-        Rng rng(RrSampleSeed(pool_seed, uint64_t{source} * theta + s % theta));
+        Rng rng(RrSampleSeed(pool_seed,
+                             uint64_t{NodeKey(node_keys_, source)} * theta +
+                                 s % theta));
         cs.sampler.SampleRestricted(source, allowed, rng, &cs.rr);
         cs.slab.Append(cs.rr);
         ++cs.samples;

@@ -135,17 +135,21 @@ class RrSlabPool {
 };
 
 // Builds one query's RR pool: sources.size() * theta samples, sample i
-// drawing source sources[i / theta] under
-// Rng(RrSampleSeed(pool_seed, sources[i / theta] * theta + i % theta)).
+// drawing source s = sources[i / theta] under
+// Rng(RrSampleSeed(pool_seed, NodeKey(node_keys, s) * theta + i % theta)).
 // Owns per-chunk sampler scratch (grown lazily to the thread count seen), so
 // it is not thread-safe itself — one instance per workspace.
 class ParallelRrPool {
  public:
-  explicit ParallelRrPool(const DiffusionModel& model);
+  // `node_keys` (borrowed; empty = identity) keys each source's samples,
+  // see NodeKey.
+  explicit ParallelRrPool(const DiffusionModel& model,
+                          std::span<const NodeId> node_keys = {});
 
   // Re-targets at a (possibly different) model, keeping every chunk's
   // sampler scratch and slab capacity across epoch swaps.
-  void Rebind(const DiffusionModel& model);
+  void Rebind(const DiffusionModel& model,
+              std::span<const NodeId> node_keys = {});
 
   struct BuildStats {
     uint64_t samples = 0;         // samples actually drawn (partial on abort)
@@ -188,6 +192,7 @@ class ParallelRrPool {
   ChunkScratch& Chunk(size_t i);
 
   const DiffusionModel* model_;
+  std::span<const NodeId> node_keys_;
   std::vector<std::unique_ptr<ChunkScratch>> chunks_;
 };
 

@@ -91,10 +91,11 @@ DynamicCodService::DynamicCodService(Graph initial_graph, AttributeTable attrs,
 
 DynamicCodService::DynamicCodService(
     Graph initial_graph, std::shared_ptr<const AttributeTable> attrs,
-    const ServiceOptions& options)
+    const ServiceOptions& options, std::shared_ptr<const GlobalIds> global_ids)
     : attrs_(std::move(attrs)),
       options_(options),
-      num_nodes_(initial_graph.NumNodes()) {
+      num_nodes_(initial_graph.NumNodes()),
+      global_ids_(std::move(global_ids)) {
   COD_CHECK(options_.Validate().ok());
   COD_CHECK_EQ(num_nodes_, attrs_->NumNodes());
   if (options_.scheduler != nullptr) sched_group_.emplace(*options_.scheduler);
@@ -126,6 +127,7 @@ DynamicCodService::DynamicCodService(
     : attrs_(std::move(attrs)),
       options_(options),
       num_nodes_(core->graph().NumNodes()),
+      global_ids_(core->global_ids()),
       snapshot_store_(std::move(store)),
       last_snapshot_epoch_(epoch) {
   COD_CHECK(options_.Validate().ok());
@@ -212,9 +214,13 @@ Result<std::unique_ptr<DynamicCodService>> DynamicCodService::Recover(
   auto graph = std::make_shared<const Graph>(std::move(snap.graph));
   auto attrs =
       std::make_shared<const AttributeTable>(std::move(snap.attributes));
+  std::shared_ptr<const GlobalIds> global_ids;
+  if (snap.global_ids.has_value()) {
+    global_ids = std::make_shared<const GlobalIds>(std::move(*snap.global_ids));
+  }
   Result<std::unique_ptr<EngineCore>> core = EngineCore::FromPrebuilt(
       graph, attrs, eng, std::move(*snap.hierarchy), std::move(snap.himor),
-      std::move(snap.sketch), snap.meta.degraded);
+      std::move(snap.sketch), snap.meta.degraded, std::move(global_ids));
   if (!core.ok()) return core.status();
   return std::unique_ptr<DynamicCodService>(new DynamicCodService(
       RecoveredTag{}, std::move(attrs), options,
@@ -400,7 +406,7 @@ Result<DynamicCodService::EpochBuild> DynamicCodService::BuildEpochCore(
     Result<std::unique_ptr<EngineCore>> made = EngineCore::FromPrebuilt(
         graph, attrs_, options_.engine, std::move(hierarchy).value(),
         /*himor=*/std::nullopt, /*sketch=*/std::nullopt,
-        /*index_absent_degraded=*/false);
+        /*index_absent_degraded=*/false, global_ids_);
     if (!made.ok()) return made.status();
     std::shared_ptr<EngineCore> core(std::move(made).value());
 

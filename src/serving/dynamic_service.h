@@ -112,11 +112,14 @@ class DynamicCodService : public CodServiceInterface {
   // snapshot fingerprint — this class is always exactly one engine.
   DynamicCodService(Graph initial_graph, AttributeTable attrs,
                     const ServiceOptions& options);
-  // Shared-attrs form for embedders that hold the table elsewhere (the
-  // sharded service shares ONE table across all shard engines).
+  // Shared-attrs form for embedders that hold the table elsewhere. A
+  // non-null `global_ids` makes this a compact shard (serving/partition.h):
+  // every epoch's core carries the map (EngineCore::global_ids), and so
+  // does every snapshot. Updates and queries still speak local ids.
   DynamicCodService(Graph initial_graph,
                     std::shared_ptr<const AttributeTable> attrs,
-                    const ServiceOptions& options);
+                    const ServiceOptions& options,
+                    std::shared_ptr<const GlobalIds> global_ids = nullptr);
 
   // Warm restart: reconstructs a service from the newest valid snapshot in
   // options.snapshot_dir, skipping the expensive clustering/index build —
@@ -128,7 +131,9 @@ class DynamicCodService : public CodServiceInterface {
   // kFailedPrecondition when the newest valid snapshot was written under a
   // different options fingerprint (seed, engine parameters, or sharding
   // layout) — restoring it would silently change answers. Options that fail
-  // Validate() or name no snapshot_dir return kInvalidArgument.
+  // Validate() or name no snapshot_dir return kInvalidArgument. A snapshot
+  // with an id map restores as that compact shard (the caller checks the
+  // map against its partition; see ShardedCodService::Recover).
   static Result<std::unique_ptr<DynamicCodService>> Recover(
       const ServiceOptions& options);
 
@@ -307,6 +312,9 @@ class DynamicCodService : public CodServiceInterface {
   std::shared_ptr<const AttributeTable> attrs_;  // shared by every epoch
   ServiceOptions options_;
   size_t num_nodes_;
+  // A compact shard's id map, shared by every epoch; null for a whole-graph
+  // service.
+  std::shared_ptr<const GlobalIds> global_ids_;
 
   mutable std::mutex mu_;  // guards the pending state below
   EdgeMap edges_;          // canonical key -> weight

@@ -35,11 +35,14 @@ void PlaceGreedy(const std::vector<ComponentInfo>& order,
     load[best] += c.size;
   }
   out.shard_of_node.resize(comps.label.size());
+  out.local_of_node.resize(comps.label.size());
   out.shard_nodes.assign(out.num_shards, 0);
+  out.global_of_local.assign(out.num_shards, {});
   for (size_t v = 0; v < comps.label.size(); ++v) {
     const uint32_t s = shard_of_comp[comps.label[v]];
     out.shard_of_node[v] = s;
-    ++out.shard_nodes[s];
+    out.local_of_node[v] = out.shard_nodes[s]++;
+    out.global_of_local[s].push_back(static_cast<NodeId>(v));
   }
 }
 
@@ -123,14 +126,15 @@ Graph BuildShardGraph(const Graph& g, const GraphPartition& partition,
                       uint32_t shard) {
   COD_CHECK(shard < partition.num_shards);
   COD_CHECK_EQ(g.NumNodes(), partition.shard_of_node.size());
-  GraphBuilder builder(g.NumNodes());
+  GraphBuilder builder(partition.shard_nodes[shard]);
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
     const auto [u, v] = g.Endpoints(e);
     // Component-atomic partitions put both endpoints on one shard; the
     // check is for span-of-edges correctness, not a rejection path.
     COD_DCHECK(partition.shard_of_node[u] == partition.shard_of_node[v]);
     if (partition.shard_of_node[u] != shard) continue;
-    builder.AddEdge(u, v, g.Weight(e));
+    builder.AddEdge(partition.local_of_node[u], partition.local_of_node[v],
+                    g.Weight(e));
   }
   return std::move(builder).Build();
 }

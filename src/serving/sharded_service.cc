@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <utility>
 
 #include "common/metrics.h"
@@ -38,31 +39,43 @@ ServiceOptions ShardedCodService::ShardOptions(const ServiceOptions& base,
 }
 
 ShardedCodService::ShardedCodService(
-    std::shared_ptr<const AttributeTable> attrs, const ServiceOptions& options,
-    GraphPartition partition,
+    const ServiceOptions& options, GraphPartition partition,
     std::vector<std::unique_ptr<DynamicCodService>> shards)
-    : attrs_(std::move(attrs)),
-      options_(options),
+    : options_(options),
       partition_(std::move(partition)),
       shards_(std::move(shards)) {
   COD_CHECK_EQ(shards_.size(), partition_.num_shards);
 }
 
+std::unique_ptr<DynamicCodService> ShardedCodService::BuildShard(
+    const Graph& graph, const AttributeTable& attrs,
+    const GraphPartition& partition, const ServiceOptions& options,
+    uint32_t shard) {
+  return std::make_unique<DynamicCodService>(
+      BuildShardGraph(graph, partition, shard),
+      std::make_shared<const AttributeTable>(
+          SubsetAttributes(attrs, partition.global_of_local[shard])),
+      ShardOptions(options, shard), ShardGlobalIds(partition, shard));
+}
+
+std::shared_ptr<const GlobalIds> ShardedCodService::ShardGlobalIds(
+    const GraphPartition& partition, uint32_t shard) {
+  return std::make_shared<const GlobalIds>(
+      GlobalIds{partition.shard_of_node.size(),
+                partition.global_of_local[shard]});
+}
+
 ShardedCodService::ShardedCodService(Graph initial_graph, AttributeTable attrs,
                                      const ServiceOptions& options)
-    : ShardedCodService(
-          std::make_shared<const AttributeTable>(std::move(attrs)), options,
-          GraphPartition{}, {}) {
+    : ShardedCodService(options, GraphPartition{}, {}) {
   COD_CHECK(options_.Validate().ok());
-  COD_CHECK_EQ(initial_graph.NumNodes(), attrs_->NumNodes());
-  partition_ = PartitionGraph(initial_graph, *attrs_, options_.num_shards,
+  COD_CHECK_EQ(initial_graph.NumNodes(), attrs.NumNodes());
+  partition_ = PartitionGraph(initial_graph, attrs, options_.num_shards,
                               options_.partitioner);
   shards_.resize(options_.num_shards);
   ForEachIndex(options_.scheduler, options_.num_shards, [&](size_t i) {
     const auto s = static_cast<uint32_t>(i);
-    shards_[s] = std::make_unique<DynamicCodService>(
-        BuildShardGraph(initial_graph, partition_, s), attrs_,
-        ShardOptions(options_, s));
+    shards_[s] = BuildShard(initial_graph, attrs, partition_, options_, s);
   });
 }
 
@@ -73,27 +86,41 @@ Result<std::unique_ptr<ShardedCodService>> ShardedCodService::Recover(
   if (options.snapshot_dir.empty()) {
     return Status::InvalidArgument("recovery needs a snapshot_dir");
   }
-  auto attrs = std::make_shared<const AttributeTable>(std::move(cold_attrs));
-  COD_CHECK_EQ(cold_graph.NumNodes(), attrs->NumNodes());
+  COD_CHECK_EQ(cold_graph.NumNodes(), cold_attrs.NumNodes());
   GraphPartition partition = PartitionGraph(
-      cold_graph, *attrs, options.num_shards, options.partitioner);
+      cold_graph, cold_attrs, options.num_shards, options.partitioner);
   std::vector<std::unique_ptr<DynamicCodService>> shards(options.num_shards);
   std::vector<Status> errors(options.num_shards);
   ForEachIndex(options.scheduler, options.num_shards, [&](size_t i) {
     const auto s = static_cast<uint32_t>(i);
+    const ServiceOptions shard_options = ShardOptions(options, s);
     Result<std::unique_ptr<DynamicCodService>> recovered =
-        DynamicCodService::Recover(ShardOptions(options, s));
-    if (recovered.ok()) {
-      shards[s] = std::move(recovered).value();
-    } else {
+        DynamicCodService::Recover(shard_options);
+    if (!recovered.ok()) {
       errors[s] = recovered.status();
+      return;
     }
+    // The snapshot must hold exactly this partition's slice for shard s:
+    // a shard of another layout (or a whole-graph snapshot) would answer
+    // for the wrong nodes.
+    const std::shared_ptr<const GlobalIds>& ids =
+        (*recovered)->engine().global_ids();
+    if (ids == nullptr || ids->global_nodes != cold_graph.NumNodes() ||
+        ids->global != partition.global_of_local[s]) {
+      errors[s] = Status::FailedPrecondition(
+          "snapshot in " + shard_options.snapshot_dir +
+          " holds a different node set than the partition gives shard " +
+          std::to_string(s));
+      return;
+    }
+    shards[s] = std::move(recovered).value();
   });
-  // Fingerprint mismatch or an I/O failure: refuse the whole recovery —
-  // the snapshots on disk do not belong to this configuration. Every shard
-  // has loaded by now, so the first failing shard in shard order names the
-  // error whatever the worker count, and nothing was cold-built for it
-  // (the loads may have quarantined corrupt files in any shard).
+  // Fingerprint or node-set mismatch, or an I/O failure: refuse the whole
+  // recovery — the snapshots on disk do not belong to this configuration.
+  // Every shard has loaded by now, so the first failing shard in shard
+  // order names the error whatever the worker count, and nothing was
+  // cold-built for it (the loads may have quarantined corrupt files in any
+  // shard).
   for (const Status& error : errors) {
     if (!error.ok() && error.code() != StatusCode::kNotFound) return error;
   }
@@ -104,12 +131,10 @@ Result<std::unique_ptr<ShardedCodService>> ShardedCodService::Recover(
   ForEachIndex(options.scheduler, options.num_shards, [&](size_t i) {
     const auto s = static_cast<uint32_t>(i);
     if (shards[s] != nullptr) return;
-    shards[s] = std::make_unique<DynamicCodService>(
-        BuildShardGraph(cold_graph, partition, s), attrs,
-        ShardOptions(options, s));
+    shards[s] = BuildShard(cold_graph, cold_attrs, partition, options, s);
   });
   return std::unique_ptr<ShardedCodService>(new ShardedCodService(
-      std::move(attrs), options, std::move(partition), std::move(shards)));
+      options, std::move(partition), std::move(shards)));
 }
 
 bool ShardedCodService::AddEdge(NodeId u, NodeId v, double weight) {
@@ -120,7 +145,8 @@ bool ShardedCodService::AddEdge(NodeId u, NodeId v, double weight) {
     CrossEdgeRejected().Increment();
     return false;
   }
-  return shards_[ShardOf(u)]->AddEdge(u, v, weight);
+  return shards_[ShardOf(u)]->AddEdge(partition_.LocalOf(u),
+                                      partition_.LocalOf(v), weight);
 }
 
 bool ShardedCodService::RemoveEdge(NodeId u, NodeId v) {
@@ -129,7 +155,8 @@ bool ShardedCodService::RemoveEdge(NodeId u, NodeId v) {
   // A cross-shard edge can never have been admitted, so there is nothing
   // to remove.
   if (ShardOf(u) != ShardOf(v)) return false;
-  return shards_[ShardOf(u)]->RemoveEdge(u, v);
+  return shards_[ShardOf(u)]->RemoveEdge(partition_.LocalOf(u),
+                                         partition_.LocalOf(v));
 }
 
 size_t ShardedCodService::pending_updates() const {
@@ -219,15 +246,27 @@ void ShardedCodService::WaitForRebuild() {
   for (const auto& shard : shards_) shard->WaitForRebuild();
 }
 
+void ShardedCodService::MembersToGlobal(uint32_t shard,
+                                        CodResult& result) const {
+  const std::vector<NodeId>& global = partition_.global_of_local[shard];
+  for (NodeId& v : result.members) v = global[v];
+}
+
 CodResult ShardedCodService::QueryCodL(NodeId q, AttributeId attr, uint32_t k,
                                        Rng& rng) {
   COD_CHECK(q < partition_.shard_of_node.size());
-  return shards_[ShardOf(q)]->QueryCodL(q, attr, k, rng);
+  CodResult result =
+      shards_[ShardOf(q)]->QueryCodL(partition_.LocalOf(q), attr, k, rng);
+  MembersToGlobal(ShardOf(q), result);
+  return result;
 }
 
 CodResult ShardedCodService::QueryCodU(NodeId q, uint32_t k, Rng& rng) {
   COD_CHECK(q < partition_.shard_of_node.size());
-  return shards_[ShardOf(q)]->QueryCodU(q, k, rng);
+  CodResult result =
+      shards_[ShardOf(q)]->QueryCodU(partition_.LocalOf(q), k, rng);
+  MembersToGlobal(ShardOf(q), result);
+  return result;
 }
 
 std::vector<CodResult> ShardedCodService::QueryBatch(
@@ -244,12 +283,20 @@ std::vector<CodResult> ShardedCodService::QueryBatch(
     epochs.push_back(shards_[s]->Snapshot());
     inputs[s].core = epochs.back().core.get();
   }
+  // Shards speak compact ids: route each spec and rename its node.
+  std::vector<QuerySpec> local(specs.begin(), specs.end());
   for (size_t i = 0; i < specs.size(); ++i) {
     COD_CHECK(specs[i].node < partition_.shard_of_node.size());
     inputs[ShardOf(specs[i].node)].indices.push_back(i);
+    local[i].node = partition_.LocalOf(specs[i].node);
   }
-  return RunShardedQueryBatch(inputs, specs, scheduler, batch_seed, options,
-                              stats);
+  std::vector<CodResult> results = RunShardedQueryBatch(
+      inputs, local, scheduler, batch_seed, options, stats);
+  // The id map is monotone, so the members keep their order.
+  for (size_t i = 0; i < specs.size(); ++i) {
+    MembersToGlobal(ShardOf(specs[i].node), results[i]);
+  }
+  return results;
 }
 
 }  // namespace cod

@@ -3,13 +3,20 @@
 // implementation of CodServiceInterface.
 //
 // Layout: the input graph is partitioned COMPONENT-ATOMICALLY
-// (serving/partition.h) into num_shards subgraphs, each covering the full
-// node id space but owning only its components' edges. Every shard engine
-// runs with EngineOptions::component_scoped forced on, so a query's
+// (serving/partition.h) into num_shards subgraphs. Each shard holds only
+// its own nodes, relabelled 0..k-1 in ascending global order (compact
+// ids), with their edges and attribute rows, so it clusters, samples and
+// stores k nodes, not the whole graph. Every shard engine runs with
+// EngineOptions::component_scoped forced on, and keys every node-keyed
+// random schedule by global id (EngineCore::global_ids), so a query's
 // answer is a pure function of its component's subgraph — which is what
 // makes the router's merged results bit-identical across 1, 2, or 4
 // shards (and across worker counts): the layout decides WHERE a query
 // runs, never WHAT it answers.
+//
+// The router speaks global ids: it renames QuerySpec::node and update
+// endpoints into the owning shard's local ids, and answer members back
+// (the map is monotone, so member order is kept).
 //
 // Scatter/gather (RunShardedQueryBatch, core/query_batch.h): a QueryBatch
 // is routed per shard by the partition, fanned as interactive-priority
@@ -33,7 +40,9 @@
 // snapshots are missing or exhausted by corruption — one shard's bad disk
 // never costs the others their warm restart. A fingerprint mismatch
 // (different engine parameters, seed, or shard layout) refuses recovery
-// outright: those snapshots would answer differently.
+// outright: those snapshots would answer differently. So does a shard
+// snapshot whose stored id map is not the recomputed partition's slice
+// (another partition, or a full-id shard of an older layout).
 
 #ifndef COD_SERVING_SHARDED_SERVICE_H_
 #define COD_SERVING_SHARDED_SERVICE_H_
@@ -56,8 +65,9 @@ class ShardedCodService : public CodServiceInterface {
   // shards too), so an armed count-limited failpoint fires on a
   // scheduling-dependent shard; without, in shard order.
   // `options` must Validate(); engine.component_scoped is forced on for the
-  // shard engines regardless of its incoming value. One shared attribute
-  // table backs all shards.
+  // shard engines regardless of its incoming value. Each shard keeps its own
+  // nodes' attribute rows, with every attribute name interned under the
+  // same id.
   ShardedCodService(Graph initial_graph, AttributeTable attrs,
                     const ServiceOptions& options);
 
@@ -69,7 +79,9 @@ class ShardedCodService : public CodServiceInterface {
   // shard epochs mean a mixed restart is fully consistent. Other errors
   // (kFailedPrecondition fingerprint mismatch, I/O errors) fail the whole
   // recovery before any shard is cold-rebuilt; the first failing shard in
-  // shard order names the error. Snapshot loads, then cold rebuilds, fan
+  // shard order names the error; a shard snapshot holding another node set
+  // than the recomputed partition gives that shard (its id map differs) is
+  // kFailedPrecondition too. Snapshot loads, then cold rebuilds, fan
   // out on options.scheduler like the constructor's builds. Every shard
   // loads before the refusal is decided, so a refused recovery writes no
   // snapshot but may already have quarantined corrupt files in any shard.
@@ -145,11 +157,21 @@ class ShardedCodService : public CodServiceInterface {
                                       uint32_t shard);
 
  private:
-  ShardedCodService(std::shared_ptr<const AttributeTable> attrs,
-                    const ServiceOptions& options, GraphPartition partition,
+  ShardedCodService(const ServiceOptions& options, GraphPartition partition,
                     std::vector<std::unique_ptr<DynamicCodService>> shards);
 
-  std::shared_ptr<const AttributeTable> attrs_;
+  // Shard `shard`'s cold-built engine: its compact graph, attribute rows and
+  // id map cut from the whole graph by `partition`.
+  static std::unique_ptr<DynamicCodService> BuildShard(
+      const Graph& graph, const AttributeTable& attrs,
+      const GraphPartition& partition, const ServiceOptions& options,
+      uint32_t shard);
+  // The id map a shard built from `partition` carries (and snapshots).
+  static std::shared_ptr<const GlobalIds> ShardGlobalIds(
+      const GraphPartition& partition, uint32_t shard);
+  // Renames a shard's answer back into global ids.
+  void MembersToGlobal(uint32_t shard, CodResult& result) const;
+
   ServiceOptions options_;
   GraphPartition partition_;
   std::vector<std::unique_ptr<DynamicCodService>> shards_;

@@ -33,6 +33,7 @@ enum SectionId : uint32_t {
   kHierarchy = 4,
   kHimor = 5,
   kSketch = 6,
+  kGlobalIds = 7,
 };
 
 const char* SectionName(uint32_t id) {
@@ -49,6 +50,8 @@ const char* SectionName(uint32_t id) {
       return "himor";
     case kSketch:
       return "sketch";
+    case kGlobalIds:
+      return "global ids";
   }
   return "unknown";
 }
@@ -183,6 +186,12 @@ std::string EncodeEpochSnapshot(EpochSnapshotMeta meta, const EngineCore& core,
   } else if (cache != nullptr) {
     cache->sketch = SnapshotSectionCache::Entry{};  // same ABA guard as himor
   }
+  if (const GlobalIds* ids = core.global_ids().get(); ids != nullptr) {
+    add(kGlobalIds, nullptr, nullptr, [&](BinaryBufferWriter& w) {
+      w.WritePod<uint64_t>(ids->global_nodes);
+      w.WriteVector(ids->global);
+    });
+  }
   if (sections_reused != nullptr) *sections_reused += reused;
 
   BinaryBufferWriter header;
@@ -237,7 +246,7 @@ Result<DecodedEpochSnapshot> DecodeEpochSnapshot(std::string_view bytes,
     return in.status();
   }
   snap.meta.degraded = (flags & kFlagDegraded) != 0;
-  // v3 writes at most 6 sections; a larger count is corruption, not growth
+  // v3 writes at most 7 sections; a larger count is corruption, not growth
   // (growth bumps the version).
   if (section_count == 0 || section_count > 8) {
     in.Fail("implausible section count");
@@ -364,6 +373,24 @@ Result<DecodedEpochSnapshot> DecodeEpochSnapshot(std::string_view bytes,
       return sketch_in.status();
     }
     snap.sketch.emplace(std::move(sketch).value());
+  }
+
+  if (const SectionEntry* ids_entry = find_section(kGlobalIds);
+      ids_entry != nullptr) {
+    BinarySpanReader ids_in = section_reader(*ids_entry);
+    GlobalIds ids;
+    if (!ids_in.ReadPod(&ids.global_nodes) || !ids_in.ReadVector(&ids.global)) {
+      return ids_in.status();
+    }
+    if (!ids_in.exhausted()) {
+      ids_in.Fail("trailing bytes");
+      return ids_in.status();
+    }
+    const Status valid = ValidateGlobalIds(ids, snap.graph.NumNodes());
+    if (!valid.ok()) {
+      return Status::InvalidArgument(origin + ": " + valid.message());
+    }
+    snap.global_ids.emplace(std::move(ids));
   }
 
   // Cross-section consistency: the fingerprint and every decoded part must

@@ -15,7 +15,10 @@
 // kAttributes, kHierarchy, and — unless the epoch was published
 // index-absent degraded (flags bit 0) — kHimor, plus kSketch (v3) when the
 // core carries a coverage-sketch index (requires kHimor: the sketch is
-// co-built with the index and meaningless without it). Each section's CRC32C
+// co-built with the index and meaningless without it), plus kGlobalIds when
+// the core serves a compact shard (EngineCore::global_ids: u64 global node
+// count | u64 id count | ids as u32; whole-graph cores write no such
+// section, so their bytes are unchanged by it). Each section's CRC32C
 // covers its exact payload bytes, so a bit flip anywhere in the file is
 // caught either by the header CRC (metadata damage) or by one section CRC
 // (payload damage) before any of the payload is interpreted. The payload
@@ -89,6 +92,9 @@ struct DecodedEpochSnapshot {
   std::optional<Dendrogram> hierarchy;  // engaged on every successful decode
   std::optional<HimorIndex> himor;
   std::optional<CoverageSketchIndex> sketch;
+  // The compact shard's id map (kGlobalIds), validated against the graph;
+  // empty for a whole-graph core.
+  std::optional<GlobalIds> global_ids;
 };
 
 // Per-section payload cache for delta snapshots. A section whose source

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <memory>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -713,6 +716,54 @@ TEST(DynamicServiceTest, DestructorCancelsScheduledRetry) {
   }  // destructor: cancel retry, join timer — must NOT take ~60 s
   EXPECT_LT(std::chrono::steady_clock::now() - start,
             std::chrono::seconds(30));
+}
+
+// A sharded service whose graph has fewer components than shards leaves a
+// shard with no nodes at all. Its service still publishes epochs, snapshots
+// them and recovers — as an empty shard with its id map, and as a plain
+// empty mono service.
+TEST(DynamicServiceTest, ZeroNodeServicePublishesSnapshotsAndRecovers) {
+  for (const bool shard : {true, false}) {
+    const std::string dir = ::testing::TempDir() + "/dynamic_service-zero-" +
+                            (shard ? "shard" : "mono");
+    std::filesystem::remove_all(dir);
+    ServiceOptions options = SmallOptions(0.5);
+    options.snapshot_dir = dir;
+    std::shared_ptr<const GlobalIds> ids;
+    if (shard) {
+      options.engine.component_scoped = true;
+      options.engine.sketch_bits = 6;
+      options.delta_rebuild = true;
+      ids = std::make_shared<const GlobalIds>(GlobalIds{40, {}});
+    }
+    {
+      DynamicCodService service(
+          GraphBuilder(0).Build(),
+          std::make_shared<const AttributeTable>(
+              AttributeTableBuilder().Build(0)),
+          options, ids);
+      EXPECT_EQ(service.epoch(), 1u);
+      EXPECT_EQ(service.NumEdges(), 0u);
+      EXPECT_TRUE(service.engine().index_present());
+      ASSERT_TRUE(service.Refresh().ok());
+      EXPECT_EQ(service.epoch(), 2u);
+    }
+    Result<std::unique_ptr<DynamicCodService>> recovered =
+        DynamicCodService::Recover(options);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    DynamicCodService& service = **recovered;
+    EXPECT_EQ(service.epoch(), 2u);
+    EXPECT_EQ(service.engine().graph().NumNodes(), 0u);
+    EXPECT_TRUE(service.engine().index_present());
+    if (shard) {
+      ASSERT_NE(service.engine().global_ids(), nullptr);
+      EXPECT_EQ(*service.engine().global_ids(), *ids);
+    } else {
+      EXPECT_EQ(service.engine().global_ids(), nullptr);
+    }
+    ASSERT_TRUE(service.Refresh().ok());
+    EXPECT_EQ(service.epoch(), 3u);
+  }
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include "graph/generators.h"
 #include "hierarchy/agglomerative.h"
 #include "hierarchy/dendrogram_io.h"
-#include "serving/partition.h"
 #include "tests/test_util.h"
 
 namespace cod {
@@ -91,6 +90,22 @@ TEST(LcaTest, OneAndTwoLeaves) {
   ExpectAllPairsMatchNaive(two);
 }
 
+TEST(LcaTest, EmptyHierarchy) {
+  // An empty shard clusters an empty graph: no vertices, no root, an LCA
+  // index with nothing to answer, and a codec round trip.
+  const Dendrogram none = AgglomerativeCluster(GraphBuilder(0).Build());
+  EXPECT_EQ(none.NumLeaves(), 0u);
+  EXPECT_EQ(none.NumVertices(), 0u);
+  EXPECT_EQ(none.Root(), kInvalidCommunity);
+  const LcaIndex lca(none);
+  BinaryBufferWriter out;
+  SerializeDendrogram(none, out);
+  BinarySpanReader in(out.bytes(), "empty dendrogram");
+  Result<Dendrogram> back = DeserializeDendrogram(in);
+  ASSERT_TRUE(back.ok()) << back.status().message();
+  EXPECT_EQ(back->NumVertices(), 0u);
+}
+
 TEST(LcaTest, FlatRootOverComponents) {
   const testing::World w = testing::MakeMultiComponentWorld(7);
   const Dendrogram d = AgglomerativeCluster(w.graph);
@@ -98,12 +113,17 @@ TEST(LcaTest, FlatRootOverComponents) {
   ExpectAllPairsMatchNaive(d);
 }
 
-TEST(LcaTest, ShardWithThousandsOfIsolatedLeaves) {
+TEST(LcaTest, FlatRootOverThousandsOfIsolatedLeaves) {
+  // One 1,000-node component plus 2,000 isolated nodes: the first part of a
+  // three-part world keeps its edges, the other two parts lose theirs.
   const testing::World w = testing::MakeMultiComponentWorld(8, 1000);
-  const GraphPartition part = PartitionGraph(
-      w.graph, w.attrs, 3, PartitionStrategy::kConnectedComponents);
-  const Dendrogram d = AgglomerativeCluster(BuildShardGraph(w.graph, part, 0));
-  // The shard's component root plus the other shards' 2,000 nodes.
+  GraphBuilder b(w.graph.NumNodes());
+  for (EdgeId e = 0; e < w.graph.NumEdges(); ++e) {
+    const auto [u, v] = w.graph.Endpoints(e);
+    if (v < 1000) b.AddEdge(u, v, w.graph.Weight(e));
+  }
+  const Dendrogram d = AgglomerativeCluster(std::move(b).Build());
+  // The component's root plus the 2,000 isolated leaves.
   ASSERT_GE(d.Children(d.Root()).size(), 2001u);
   ExpectAllPairsMatchNaive(d);
 }

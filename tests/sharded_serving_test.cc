@@ -21,12 +21,15 @@
 
 #include "serving/sharded_service.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -36,6 +39,7 @@
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/task_scheduler.h"
+#include "core/query_workspace.h"
 #include "eval/datasets.h"
 #include "eval/query_gen.h"
 #include "graph/connectivity.h"
@@ -177,20 +181,43 @@ TEST(PartitionTest, ShardGraphsTileTheEdgeSet) {
   World w = MakeMultiWorld(2, 3);
   const GraphPartition part = PartitionGraph(
       w.graph, w.attrs, 2, PartitionStrategy::kConnectedComponents);
-  size_t total_edges = 0;
+  ASSERT_EQ(part.local_of_node.size(), w.graph.NumNodes());
+  ASSERT_EQ(part.global_of_local.size(), 2u);
+  // The two id maps are inverse, and each shard's is strictly ascending.
+  for (NodeId v = 0; v < w.graph.NumNodes(); ++v) {
+    const uint32_t s = part.shard_of_node[v];
+    ASSERT_LT(part.local_of_node[v], part.global_of_local[s].size());
+    EXPECT_EQ(part.global_of_local[s][part.local_of_node[v]], v);
+  }
+  // Every input edge, as (u, v, weight) in global ids.
+  std::vector<std::tuple<NodeId, NodeId, double>> want;
+  for (EdgeId e = 0; e < w.graph.NumEdges(); ++e) {
+    const auto [u, v] = w.graph.Endpoints(e);
+    want.emplace_back(u, v, w.graph.Weight(e));
+  }
+  std::vector<std::tuple<NodeId, NodeId, double>> got;
   for (uint32_t s = 0; s < 2; ++s) {
+    const std::vector<NodeId>& global = part.global_of_local[s];
+    ASSERT_EQ(global.size(), part.shard_nodes[s]);
+    for (size_t i = 1; i < global.size(); ++i) {
+      EXPECT_LT(global[i - 1], global[i]) << "shard " << s;
+    }
+    for (size_t i = 0; i < global.size(); ++i) {
+      EXPECT_EQ(part.shard_of_node[global[i]], s);
+      EXPECT_EQ(part.local_of_node[global[i]], i);
+    }
     const Graph shard = BuildShardGraph(w.graph, part, s);
-    EXPECT_EQ(shard.NumNodes(), w.graph.NumNodes());  // full node space
+    EXPECT_EQ(shard.NumNodes(), part.shard_nodes[s]);  // compact ids
+    EXPECT_GT(shard.NumEdges(), 0u);
     for (EdgeId e = 0; e < shard.NumEdges(); ++e) {
       const auto [u, v] = shard.Endpoints(e);
-      EXPECT_EQ(part.shard_of_node[u], s);
-      EXPECT_EQ(part.shard_of_node[v], s);
+      got.emplace_back(global[u], global[v], shard.Weight(e));
     }
-    total_edges += shard.NumEdges();
   }
-  EXPECT_EQ(total_edges, w.graph.NumEdges());
-  EXPECT_GT(BuildShardGraph(w.graph, part, 0).NumEdges(), 0u);
-  EXPECT_GT(BuildShardGraph(w.graph, part, 1).NumEdges(), 0u);
+  // The translated shard edges are exactly the input's, each once.
+  std::sort(want.begin(), want.end());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, want);
 }
 
 TEST(PartitionTest, SingleComponentLeavesExtraShardsEmpty) {
@@ -209,6 +236,60 @@ TEST(PartitionTest, SingleComponentLeavesExtraShardsEmpty) {
   EXPECT_EQ(service.num_shards(), 4u);
   Rng rng(3);
   EXPECT_TRUE(service.QueryCodL(0, 0, 3, rng).found);
+}
+
+TEST(PartitionTest, OneNodeShardServesAndRecovers) {
+  // An 8-clique plus one isolated node over 2 shards: shard 1 holds just
+  // the singleton, a one-node graph with no community above its leaf.
+  const auto make = [] {
+    World w;
+    GraphBuilder gb(9);
+    for (NodeId u = 0; u < 8; ++u) {
+      for (NodeId v = u + 1; v < 8; ++v) gb.AddEdge(u, v);
+    }
+    w.graph = std::move(gb).Build();
+    AttributeTableBuilder ab;
+    for (NodeId v = 0; v < 9; ++v) ab.Add(v, "X");
+    w.attrs = std::move(ab).Build(9);
+    return w;
+  };
+  ServiceOptions options = BaseOptions(2);
+  options.snapshot_dir = FreshDir("one-node-shard");
+  std::vector<CodResult> before;
+  const std::vector<QuerySpec> specs = [] {
+    std::vector<QuerySpec> out(4);
+    out[0].node = 0;
+    out[0].attrs = {0};
+    out[1].node = 8;
+    out[1].attrs = {0};
+    out[2].variant = CodVariant::kCodU;
+    out[2].node = 8;
+    out[3].variant = CodVariant::kCodU;
+    out[3].node = 3;
+    return out;
+  }();
+  TaskScheduler scheduler(2);
+  {
+    World w = make();
+    ShardedCodService service(std::move(w.graph), std::move(w.attrs),
+                              options);
+    ASSERT_EQ(service.partition().shard_nodes[1], 1u);
+    EXPECT_EQ(service.shard(1).engine().graph().NumNodes(), 1u);
+    before = service.QueryBatch(specs, scheduler, /*batch_seed=*/9);
+    EXPECT_TRUE(before[0].found);
+    EXPECT_FALSE(before[1].found);  // a singleton has no community
+    EXPECT_EQ(before[1].code, StatusCode::kOk);
+    EXPECT_FALSE(before[2].found);
+    Rng rng(1);
+    EXPECT_FALSE(service.QueryCodU(8, 3, rng).found);
+  }
+  World cold = make();
+  Result<std::unique_ptr<ShardedCodService>> recovered =
+      ShardedCodService::Recover(options, std::move(cold.graph),
+                                 std::move(cold.attrs));
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ExpectSameResults((*recovered)->QueryBatch(specs, scheduler, 9), before,
+                    "one-node shard after recovery");
 }
 
 // ---------------------------------------------------------------------------
@@ -297,6 +378,259 @@ TEST(ShardedDeterminismTest, AttributeLocalityLayoutAnswersIdentically) {
       continue;
     }
     ExpectSameResults(got, reference, "attribute-locality layout");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Compact shards against the whole-graph engine, node by node and through
+// the router's update path.
+// ---------------------------------------------------------------------------
+
+// One update the router and the mono service both receive: an added (or
+// reweighted) edge, or a removal.
+struct EdgeUpdate {
+  bool add;
+  NodeId u;
+  NodeId v;
+  double weight;
+};
+
+// Updates that keep every edge inside one component (so no router can
+// reject them): even steps close a wedge a-b-c with edge (a, c) or
+// reweight it when present, odd steps remove an edge.
+std::vector<EdgeUpdate> MakeUpdates(const Graph& g, size_t count,
+                                    uint64_t seed) {
+  Rng rng(seed);
+  std::vector<EdgeUpdate> updates;
+  while (updates.size() < count) {
+    const auto b = static_cast<NodeId>(rng.UniformInt(g.NumNodes()));
+    const auto nbrs = g.Neighbors(b);
+    if (nbrs.size() < 2) continue;
+    const NodeId a = nbrs[rng.UniformInt(nbrs.size())].to;
+    const NodeId c = nbrs[rng.UniformInt(nbrs.size())].to;
+    if (a == c) continue;
+    if (updates.size() % 2 == 0) {
+      updates.push_back({true, a, c, 2.0});
+    } else {
+      updates.push_back({false, a, b, 0.0});
+    }
+  }
+  return updates;
+}
+
+void ApplyUpdates(CodServiceInterface& service,
+                  const std::vector<EdgeUpdate>& updates) {
+  for (const EdgeUpdate& up : updates) {
+    if (up.add) {
+      EXPECT_TRUE(service.AddEdge(up.u, up.v, up.weight));
+    } else {
+      service.RemoveEdge(up.u, up.v);  // may already be gone
+    }
+  }
+}
+
+// Every exact variant over the attributed nodes.
+std::vector<QuerySpec> MakeAllVariantSpecs(const AttributeTable& attrs,
+                                           size_t count, uint64_t seed) {
+  constexpr CodVariant kVariants[] = {
+      CodVariant::kCodL, CodVariant::kCodU, CodVariant::kCodLMinus,
+      CodVariant::kCodUIndexed, CodVariant::kCodR};
+  std::vector<QuerySpec> specs = MakeSpecs(attrs, count, seed);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const AttributeId attr = attrs.AttributesOf(specs[i].node)[0];
+    specs[i].variant = kVariants[i % 5];
+    specs[i].attrs = {attr};
+  }
+  return specs;
+}
+
+ServiceOptions EquivalenceOptions(uint32_t num_shards, bool delta) {
+  ServiceOptions options = BaseOptions(num_shards);
+  options.engine.sketch_bits = 6;
+  options.delta_rebuild = delta;
+  // Every refresh with a carry takes the incremental path.
+  options.delta_max_dirty_fraction = 1.0;
+  return options;
+}
+
+// Community `c` of `core` as a sorted set of global ids.
+std::vector<NodeId> GlobalMembers(const EngineCore& core, CommunityId c) {
+  std::vector<NodeId> out;
+  for (const NodeId v : core.base_hierarchy().Members(c)) {
+    out.push_back(NodeKey(core.node_keys(), v));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// A query of `variant` at node v of `core`, from a workspace reseeded by
+// the node's global id, with the members renamed into global ids.
+CodResult QueryAt(const EngineCore& core, QueryWorkspace& ws, NodeId v,
+                  CodVariant variant) {
+  const NodeId g = NodeKey(core.node_keys(), v);
+  const auto attrs = core.attributes().AttributesOf(v);
+  QuerySpec spec;
+  spec.variant = variant;
+  spec.node = v;
+  spec.k = 4;
+  if (!attrs.empty()) spec.attrs = {attrs[0]};
+  ws.ReseedRng(1000 + g);
+  CodResult result = core.Query(spec, ws);
+  for (NodeId& m : result.members) m = NodeKey(core.node_keys(), m);
+  return result;
+}
+
+// Compares what shard core `shard` keeps for its nodes and communities
+// with what `mono` keeps for the same global nodes and member sets: HIMOR
+// entries (members + rank), sketch top counts, each materialized
+// community's sketch row, and CODU / CODL / CODL- answers. Returns the
+// number of materialized communities compared.
+size_t ExpectShardMatchesMono(const EngineCore& shard, const EngineCore& mono,
+                              const std::string& label) {
+  EXPECT_NE(shard.global_ids(), nullptr) << label;
+  if (shard.himor() == nullptr || mono.himor() == nullptr ||
+      shard.sketch() == nullptr || mono.sketch() == nullptr) {
+    ADD_FAILURE() << label << ": index or sketch missing";
+    return 0;
+  }
+  const CoverageSketchIndex& ssk = *shard.sketch();
+  const CoverageSketchIndex& msk = *mono.sketch();
+  QueryWorkspace shard_ws(shard, 0);
+  QueryWorkspace mono_ws(mono, 0);
+  for (NodeId v = 0; v < shard.graph().NumNodes(); ++v) {
+    const NodeId g = NodeKey(shard.node_keys(), v);
+    const std::string at = label + " node " + std::to_string(g);
+    const auto got = shard.himor()->RanksOf(v);
+    const auto want = mono.himor()->RanksOf(g);
+    EXPECT_EQ(got.size(), want.size()) << at;
+    for (size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+      EXPECT_EQ(got[i].rank, want[i].rank) << at << " entry " << i;
+      EXPECT_EQ(GlobalMembers(shard, got[i].community),
+                GlobalMembers(mono, want[i].community))
+          << at << " entry " << i;
+    }
+    EXPECT_EQ(ssk.TopCountOf(v), msk.TopCountOf(g)) << at;
+    for (const CodVariant variant :
+         {CodVariant::kCodU, CodVariant::kCodL, CodVariant::kCodLMinus}) {
+      EXPECT_TRUE(testing::SameResult(QueryAt(shard, shard_ws, v, variant),
+                                      QueryAt(mono, mono_ws, g, variant)))
+          << at << " variant " << CodVariantName(variant);
+    }
+  }
+  std::map<std::vector<NodeId>, CommunityId> mono_by_members;
+  for (CommunityId c = 0; c < msk.NumCommunities(); ++c) {
+    if (!msk.ThresholdsOf(c).empty()) {
+      mono_by_members[GlobalMembers(mono, c)] = c;
+    }
+  }
+  size_t compared = 0;
+  for (CommunityId c = 0; c < ssk.NumCommunities(); ++c) {
+    if (ssk.ThresholdsOf(c).empty()) continue;
+    const auto it = mono_by_members.find(GlobalMembers(shard, c));
+    if (it == mono_by_members.end()) {
+      ADD_FAILURE() << label << ": community " << c << " has no mono twin";
+      continue;
+    }
+    const CommunityId m = it->second;
+    const auto same = [](auto a, auto b) {
+      return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    };
+    EXPECT_TRUE(same(ssk.SignatureOf(c), msk.SignatureOf(m)))
+        << label << " community " << c;
+    EXPECT_TRUE(same(ssk.ThresholdsOf(c), msk.ThresholdsOf(m)))
+        << label << " community " << c;
+    EXPECT_EQ(ssk.SupportOf(c), msk.SupportOf(m)) << label;
+    ++compared;
+  }
+  return compared;
+}
+
+size_t MaterializedCommunities(const EngineCore& core) {
+  size_t count = 0;
+  for (CommunityId c = 0; c < core.sketch()->NumCommunities(); ++c) {
+    count += !core.sketch()->ThresholdsOf(c).empty();
+  }
+  return count;
+}
+
+// ROADMAP item 6's done-when as a test: a compact shard keeps, for every
+// node it owns, the very index entries and sketch rows the whole-graph
+// component-scoped engine keeps, after the cold build and after a delta
+// rebuild.
+TEST(ShardEquivalenceTest, CompactShardsMatchMonoNodeByNode) {
+  const World probe = MakeMultiWorld(80, 6);
+  const std::vector<EdgeUpdate> updates = MakeUpdates(probe.graph, 12, 81);
+  for (const uint32_t num_shards : {2u, 4u}) {
+    World mono_world = MakeMultiWorld(80, 6);
+    World shard_world = MakeMultiWorld(80, 6);
+    DynamicCodService mono(std::move(mono_world.graph),
+                           std::move(mono_world.attrs),
+                           EquivalenceOptions(1, /*delta=*/true));
+    ShardedCodService sharded(std::move(shard_world.graph),
+                              std::move(shard_world.attrs),
+                              EquivalenceOptions(num_shards, /*delta=*/true));
+    for (const char* stage : {"cold", "delta"}) {
+      if (std::string(stage) == "delta") {
+        ApplyUpdates(mono, updates);
+        ApplyUpdates(sharded, updates);
+        Counter* reused = MetricsRegistry::Instance().GetCounter(
+            "cod_rebuild_delta_samples_reused_total");
+        const uint64_t before = reused->Value();
+        ASSERT_TRUE(sharded.Refresh().ok());
+        // The shards' refresh took the incremental path (only it reuses
+        // samples), which redraws the samples the updates dirtied.
+        EXPECT_GT(reused->Value(), before);
+        ASSERT_TRUE(mono.Refresh().ok());
+      }
+      size_t compared = 0;
+      for (uint32_t s = 0; s < num_shards; ++s) {
+        const EngineCore& core = sharded.shard(s).engine();
+        EXPECT_EQ(core.graph().NumNodes(), sharded.partition().shard_nodes[s]);
+        compared += ExpectShardMatchesMono(
+            core, mono.engine(),
+            std::string(stage) + " shards=" + std::to_string(num_shards) +
+                " shard " + std::to_string(s));
+      }
+      // Every materialized community lives on exactly one shard.
+      EXPECT_EQ(compared, MaterializedCommunities(mono.engine()))
+          << stage << " shards=" << num_shards;
+      EXPECT_GT(compared, 0u);
+    }
+  }
+}
+
+// Updates enter the router in global ids and reach the owning shard in its
+// local ids; after a refresh the merged answers equal a mono
+// component-scoped service that received the same updates, with delta
+// rebuilds on and off.
+TEST(ShardEquivalenceTest, UpdatesThroughTheRouterMatchMono) {
+  const World probe = MakeMultiWorld(90, 6);
+  const std::vector<EdgeUpdate> updates = MakeUpdates(probe.graph, 16, 91);
+  const std::vector<QuerySpec> specs =
+      MakeAllVariantSpecs(probe.attrs, 60, 92);
+  for (const bool delta : {false, true}) {
+    std::vector<CodResult> reference;
+    for (const uint32_t num_shards : {1u, 2u, 4u}) {
+      World w = MakeMultiWorld(90, 6);
+      const std::unique_ptr<CodServiceInterface> service =
+          MakeCodService(std::move(w.graph), std::move(w.attrs),
+                         EquivalenceOptions(num_shards, delta));
+      ApplyUpdates(*service, updates);
+      ASSERT_TRUE(service->Refresh().ok());
+      TaskScheduler scheduler(2);
+      const std::vector<CodResult> got =
+          service->QueryBatch(specs, scheduler, /*batch_seed=*/93);
+      if (num_shards == 1) {
+        reference = got;
+        size_t found = 0;
+        for (const CodResult& r : got) found += r.found;
+        EXPECT_GT(found, specs.size() / 3);
+        continue;
+      }
+      ExpectSameResults(got, reference,
+                        std::string(delta ? "delta" : "cold") +
+                            " shards=" + std::to_string(num_shards));
+    }
   }
 }
 
@@ -594,6 +928,90 @@ TEST(ShardedRecoveryTest, MonoSnapshotsNeverRestoreIntoShards) {
       sharded, std::move(cold.graph), std::move(cold.attrs));
   ASSERT_FALSE(recovered.ok());
   EXPECT_EQ(recovered.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(ShardedRecoveryTest, SnapshotsOfAnotherNodeSetAreRefused) {
+  // Shards number their nodes compactly, so a shard snapshot only fits the
+  // partition slice it was written for. Three layouts that the options
+  // fingerprint cannot tell apart must each be refused.
+  const auto expect_refused = [](const ServiceOptions& options, World cold,
+                                 const std::string& label) {
+    Result<std::unique_ptr<ShardedCodService>> recovered =
+        ShardedCodService::Recover(options, std::move(cold.graph),
+                                   std::move(cold.attrs));
+    ASSERT_FALSE(recovered.ok()) << label;
+    EXPECT_EQ(recovered.status().code(), StatusCode::kFailedPrecondition)
+        << label << ": " << recovered.status().ToString();
+  };
+  {
+    // The shard directories swapped: each holds the other shard's slice.
+    const std::string dir = FreshDir("swapped-shards");
+    const CrashedService crashed = BuildAndCrash(dir);
+    const std::string d0 = ShardedCodService::ShardSnapshotDir(dir, 0);
+    const std::string d1 = ShardedCodService::ShardSnapshotDir(dir, 1);
+    fs::rename(d0, dir + "/tmp");
+    fs::rename(d1, d0);
+    fs::rename(dir + "/tmp", d1);
+    expect_refused(crashed.options, MakeMultiWorld(50, 2), "swapped");
+  }
+  {
+    // A different partition: the cold graph joins two components, so the
+    // recomputed layout moves nodes between shards.
+    const std::string dir = FreshDir("other-partition");
+    const CrashedService crashed = BuildAndCrash(dir);
+    World cold = MakeMultiWorld(50, 2);
+    GraphBuilder gb(cold.graph.NumNodes());
+    for (EdgeId e = 0; e < cold.graph.NumEdges(); ++e) {
+      const auto [u, v] = cold.graph.Endpoints(e);
+      gb.AddEdge(u, v, cold.graph.Weight(e));
+    }
+    gb.AddEdge(0, static_cast<NodeId>(cold.graph.NumNodes() - 1));
+    cold.graph = std::move(gb).Build();
+    const GraphPartition before = PartitionGraph(
+        MakeMultiWorld(50, 2).graph, cold.attrs, 2,
+        PartitionStrategy::kConnectedComponents);
+    const GraphPartition after = PartitionGraph(
+        cold.graph, cold.attrs, 2, PartitionStrategy::kConnectedComponents);
+    ASSERT_NE(before.shard_of_node, after.shard_of_node);
+    expect_refused(crashed.options, std::move(cold), "other partition");
+  }
+  {
+    // A full-id shard snapshot, the layout before compact ids: the shard's
+    // edges over every node of the graph, and no id map.
+    const std::string dir = FreshDir("full-id-shard");
+    const ServiceOptions options = [&] {
+      ServiceOptions o = BaseOptions(2);
+      o.snapshot_dir = dir;
+      return o;
+    }();
+    World w = MakeMultiWorld(50, 2);
+    const GraphPartition part = PartitionGraph(
+        w.graph, w.attrs, 2, PartitionStrategy::kConnectedComponents);
+    for (uint32_t s = 0; s < 2; ++s) {
+      World full = MakeMultiWorld(50, 2);
+      GraphBuilder gb(full.graph.NumNodes());
+      for (EdgeId e = 0; e < full.graph.NumEdges(); ++e) {
+        const auto [u, v] = full.graph.Endpoints(e);
+        if (part.ShardOf(u) == s) gb.AddEdge(u, v, full.graph.Weight(e));
+      }
+      DynamicCodService shard(std::move(gb).Build(), std::move(full.attrs),
+                              ShardedCodService::ShardOptions(options, s));
+      ASSERT_EQ(shard.epoch(), 1u);
+    }
+    expect_refused(options, std::move(w), "full-id layout");
+    // Refused, the caller cold-builds instead: a fresh service writes the
+    // compact layout, which then recovers.
+    {
+      World fresh = MakeMultiWorld(50, 2);
+      fs::remove_all(dir);
+      ShardedCodService service(std::move(fresh.graph),
+                                std::move(fresh.attrs), options);
+    }
+    World cold = MakeMultiWorld(50, 2);
+    EXPECT_TRUE(ShardedCodService::Recover(options, std::move(cold.graph),
+                                           std::move(cold.attrs))
+                    .ok());
+  }
 }
 
 TEST(ShardedRecoveryTest, EmptySnapshotDirIsInvalidArgument) {

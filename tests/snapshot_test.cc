@@ -9,6 +9,7 @@
 // cases copy the offending bytes to COD_SNAPSHOT_ARTIFACT_DIR when set.
 
 #include <algorithm>
+#include <cstring>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
+#include "common/crc32c.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/task_scheduler.h"
@@ -655,6 +658,187 @@ TEST(SnapshotCorruptionTest, FuzzedDamageNeverCrashesRecovery) {
         DecodeEpochSnapshot(damaged, "fuzz");
     EXPECT_FALSE(snap.ok()) << "fuzz round " << round << " decoded";
   }
+}
+
+// ---------------------------------------------------------------------------
+// The compact-shard id map (kGlobalIds section).
+// ---------------------------------------------------------------------------
+
+// Global ids for a 120-node world placed every 7th node of a 1,000-node
+// graph: strictly ascending, in range.
+std::shared_ptr<const GlobalIds> SpreadIds(size_t n) {
+  auto ids = std::make_shared<GlobalIds>();
+  ids->global_nodes = 1000;
+  for (size_t v = 0; v < n; ++v) {
+    ids->global.push_back(static_cast<NodeId>(7 * v));
+  }
+  return ids;
+}
+
+// A snapshot of a service that serves a compact shard, written once.
+std::string PristineShardSnapshot() {
+  static const std::string bytes = [] {
+    const std::string dir = FreshDir("pristine-shard");
+    World w = MakeWorld(12);
+    const size_t n = w.graph.NumNodes();
+    DynamicCodService service(
+        std::move(w.graph),
+        std::make_shared<const AttributeTable>(std::move(w.attrs)),
+        SnapshotOptions(dir), SpreadIds(n));
+    return ReadFile(SnapshotStore({dir, 2}).PathForEpoch(1));
+  }();
+  return bytes;
+}
+
+// Re-packs a snapshot with section `id`'s payload replaced, every offset and
+// CRC recomputed: damage no CRC catches, left to the payload validators.
+std::string ReplaceSection(const std::string& bytes, uint32_t id,
+                           const std::string& payload) {
+  struct Entry {
+    uint32_t id, reserved0;
+    uint64_t offset, length;
+    uint32_t crc, reserved1;
+  };
+  constexpr size_t kFixed = 40;  // magic, version, identity, flags, count
+  uint32_t count = 0;
+  std::memcpy(&count, bytes.data() + kFixed - sizeof(uint32_t),
+              sizeof(count));
+  std::vector<Entry> table(count);
+  std::memcpy(table.data(), bytes.data() + kFixed, count * sizeof(Entry));
+  std::vector<std::string> payloads;
+  for (const Entry& e : table) {
+    payloads.push_back(e.id == id ? payload : bytes.substr(e.offset, e.length));
+  }
+  uint64_t offset = kFixed + count * sizeof(Entry) + sizeof(uint32_t);
+  for (size_t i = 0; i < table.size(); ++i) {
+    table[i].offset = offset;
+    table[i].length = payloads[i].size();
+    table[i].crc = Crc32c(payloads[i]);
+    offset += payloads[i].size();
+  }
+  std::string out = bytes.substr(0, kFixed);
+  out.append(reinterpret_cast<const char*>(table.data()),
+             count * sizeof(Entry));
+  const uint32_t header_crc = Crc32c(out);
+  out.append(reinterpret_cast<const char*>(&header_crc), sizeof(header_crc));
+  for (const std::string& p : payloads) out += p;
+  return out;
+}
+
+constexpr uint32_t kGlobalIdsSection = 7;
+
+std::string GlobalIdsPayload(uint64_t global_nodes,
+                             const std::vector<NodeId>& ids) {
+  BinaryBufferWriter w;
+  w.WritePod<uint64_t>(global_nodes);
+  w.WriteVector(ids);
+  return std::move(w).TakeBytes();
+}
+
+TEST(SnapshotGlobalIdsTest, IdMapRoundTripsAndRestores) {
+  const std::string dir = FreshDir("shard-roundtrip");
+  World w = MakeWorld(13);
+  const size_t n = w.graph.NumNodes();
+  const std::shared_ptr<const GlobalIds> ids = SpreadIds(n);
+  std::vector<ProbeAnswer> before;
+  std::string written;
+  {
+    DynamicCodService service(
+        std::move(w.graph),
+        std::make_shared<const AttributeTable>(std::move(w.attrs)),
+        SnapshotOptions(dir), ids);
+    ASSERT_EQ(service.engine().global_ids(), ids);
+    before = Probe(service.engine(), 5);
+    written = ReadFile(SnapshotStore({dir, 2}).PathForEpoch(1));
+  }
+  Result<DecodedEpochSnapshot> snap = DecodeEpochSnapshot(written, "shard");
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  ASSERT_TRUE(snap->global_ids.has_value());
+  EXPECT_EQ(*snap->global_ids, *ids);
+
+  // The restored core carries the map, answers as the writer did, and
+  // writes the same bytes again.
+  Result<std::unique_ptr<DynamicCodService>> recovered =
+      DynamicCodService::Recover(SnapshotOptions(dir));
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const EngineCore& core = (*recovered)->engine();
+  ASSERT_NE(core.global_ids(), nullptr);
+  EXPECT_EQ(*core.global_ids(), *ids);
+  EXPECT_TRUE(Probe(core, 5) == before);
+  EpochSnapshotMeta meta = snap->meta;
+  EXPECT_EQ(EncodeEpochSnapshot(meta, core), written);
+
+  // A whole-graph service writes no id map.
+  const Result<DecodedEpochSnapshot> mono =
+      DecodeEpochSnapshot(PristineSnapshot(), "mono");
+  ASSERT_TRUE(mono.ok());
+  EXPECT_FALSE(mono->global_ids.has_value());
+}
+
+TEST(SnapshotGlobalIdsTest, BadIdMapsAreRefusedCleanly) {
+  const std::string pristine = PristineShardSnapshot();
+  const Result<DecodedEpochSnapshot> good =
+      DecodeEpochSnapshot(pristine, "pristine shard");
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  ASSERT_TRUE(good->global_ids.has_value());
+  const GlobalIds ids = *good->global_ids;
+  const size_t n = ids.global.size();
+  ASSERT_GE(n, 3u);
+  // The CI shard seed picks where each map is damaged.
+  const size_t at = 1 + FuzzSeed() % (n - 2);
+
+  std::vector<std::pair<std::string, std::string>> cases;
+  {
+    // Truncated: the declared length runs past the section's end.
+    std::string payload = GlobalIdsPayload(ids.global_nodes, ids.global);
+    payload.resize(payload.size() - sizeof(NodeId) * (n - at));
+    cases.emplace_back("truncated", payload);
+  }
+  {
+    // Truncated map: fewer ids than the graph has nodes.
+    std::vector<NodeId> shorter(ids.global.begin(), ids.global.begin() + at);
+    cases.emplace_back("short", GlobalIdsPayload(ids.global_nodes, shorter));
+  }
+  {
+    std::vector<NodeId> swapped = ids.global;
+    std::swap(swapped[at], swapped[at + 1]);
+    cases.emplace_back("non-monotone",
+                       GlobalIdsPayload(ids.global_nodes, swapped));
+  }
+  {
+    std::vector<NodeId> repeated = ids.global;
+    repeated[at] = repeated[at - 1];
+    cases.emplace_back("repeated",
+                       GlobalIdsPayload(ids.global_nodes, repeated));
+  }
+  // Out of range: an id at or past the global node count.
+  cases.emplace_back("out-of-range",
+                     GlobalIdsPayload(ids.global.back(), ids.global));
+  {
+    std::vector<NodeId> huge = ids.global;
+    huge.back() = kInvalidNode;
+    cases.emplace_back("invalid-node",
+                       GlobalIdsPayload(ids.global_nodes, huge));
+  }
+  for (const auto& [label, payload] : cases) {
+    const std::string damaged =
+        ReplaceSection(pristine, kGlobalIdsSection, payload);
+    const Result<DecodedEpochSnapshot> snap =
+        DecodeEpochSnapshot(damaged, label);
+    EXPECT_FALSE(snap.ok()) << label << " decoded";
+    if (!snap.ok()) {
+      EXPECT_EQ(snap.status().code(), StatusCode::kInvalidArgument)
+          << label << ": " << snap.status().ToString();
+    }
+    ExpectQuarantine(damaged, label);
+  }
+  // The re-packing itself is sound: the untouched payload decodes.
+  EXPECT_TRUE(DecodeEpochSnapshot(
+                  ReplaceSection(pristine, kGlobalIdsSection,
+                                 GlobalIdsPayload(ids.global_nodes,
+                                                  ids.global)),
+                  "repacked")
+                  .ok());
 }
 
 }  // namespace
