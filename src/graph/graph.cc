@@ -36,28 +36,41 @@ void GraphBuilder::SetNumNodes(size_t n) {
 }
 
 Graph GraphBuilder::Build() && {
-  // Sort edge records to merge duplicates deterministically.
-  std::vector<size_t> order(pending_.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return pending_[a] < pending_[b];
-  });
-
   Graph g;
   g.offsets_.assign(num_nodes_ + 1, 0);
   bool weighted = false;
-  for (size_t idx : order) {
-    const auto& e = pending_[idx];
-    if (!g.edges_.empty() && g.edges_.back() == e) {
-      g.weights_.back() += pending_weights_[idx];
-      weighted = true;
-      continue;
+  const bool strictly_increasing =
+      std::adjacent_find(pending_.begin(), pending_.end(),
+                         [](const auto& a, const auto& b) {
+                           return !(a < b);
+                         }) == pending_.end();
+  if (strictly_increasing) {
+    // Already canonical (a deserialized graph, a service rebuild): nothing
+    // to sort or merge.
+    g.edges_ = std::move(pending_);
+    g.weights_ = std::move(pending_weights_);
+    weighted = std::any_of(g.weights_.begin(), g.weights_.end(),
+                           [](double w) { return w != 1.0; });
+  } else {
+    // Sort edge records to merge duplicates deterministically.
+    std::vector<size_t> order(pending_.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return pending_[a] < pending_[b];
+    });
+    for (size_t idx : order) {
+      const auto& e = pending_[idx];
+      if (!g.edges_.empty() && g.edges_.back() == e) {
+        g.weights_.back() += pending_weights_[idx];
+        weighted = true;
+        continue;
+      }
+      g.edges_.push_back(e);
+      g.weights_.push_back(pending_weights_[idx]);
+      if (pending_weights_[idx] != 1.0) weighted = true;
     }
-    g.edges_.push_back(e);
-    g.weights_.push_back(pending_weights_[idx]);
-    if (pending_weights_[idx] != 1.0) weighted = true;
   }
-  if (!weighted) g.weights_.clear();
+  if (!weighted) g.weights_ = {};  // release the all-1.0 buffer too
 
   // Two-pass CSR fill.
   for (const auto& [u, v] : g.edges_) {

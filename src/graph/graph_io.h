@@ -23,8 +23,9 @@ namespace cod {
 //
 // Used by the epoch snapshot container (storage/epoch_snapshot.h), which
 // checksums each section itself. Round trips are exact: the deserialized
-// graph is rebuilt through GraphBuilder, whose canonical edge sort makes
-// the result bit-identical to the original (adjacency, edge ids, weights).
+// graph is rebuilt through GraphBuilder from its strictly increasing
+// canonical edges, which the builder keeps in order, so the result is
+// bit-identical to the original (adjacency, edge ids, weights).
 // Deserializers validate every length and id against the snapshot's
 // declared sizes — corrupt bytes produce a clean Status, never a crash.
 void SerializeGraph(const Graph& g, BinaryBufferWriter& out);

@@ -78,9 +78,9 @@ QueryWorkspace& TlsWorkspaceFor(const EngineCore& core) {
 
 }  // namespace
 
-uint64_t DynamicCodService::EdgeKey(NodeId u, NodeId v, size_t n) {
+uint64_t DynamicCodService::EdgeKey(NodeId u, NodeId v) {
   if (u > v) std::swap(u, v);
-  return static_cast<uint64_t>(u) * n + v;
+  return static_cast<uint64_t>(u) << 32 | v;
 }
 
 DynamicCodService::DynamicCodService(Graph initial_graph, AttributeTable attrs,
@@ -104,10 +104,8 @@ DynamicCodService::DynamicCodService(
         SnapshotStore::Options{options_.snapshot_dir,
                                options_.snapshots_keep});
   }
-  for (EdgeId e = 0; e < initial_graph.NumEdges(); ++e) {
-    const auto [u, v] = initial_graph.Endpoints(e);
-    edges_[EdgeKey(u, v, num_nodes_)] = initial_graph.Weight(e);
-  }
+  num_edges_ = initial_graph.NumEdges();
+  base_ = std::make_shared<const Graph>(std::move(initial_graph));
   if (options_.delta_rebuild) {
     dirty_pending_.assign(num_nodes_, 0);
     dirty_since_cache_.assign(num_nodes_, 0);
@@ -121,24 +119,23 @@ DynamicCodService::DynamicCodService(
 
 DynamicCodService::DynamicCodService(
     RecoveredTag, std::shared_ptr<const AttributeTable> attrs,
-    const ServiceOptions& options, std::shared_ptr<const EngineCore> core,
+    const ServiceOptions& options, std::shared_ptr<const Graph> graph,
+    std::shared_ptr<const EngineCore> core,
     std::unique_ptr<SnapshotStore> store, uint64_t epoch,
     uint64_t build_index, bool degraded)
     : attrs_(std::move(attrs)),
       options_(options),
-      num_nodes_(core->graph().NumNodes()),
+      num_nodes_(graph->NumNodes()),
       global_ids_(core->global_ids()),
+      base_(std::move(graph)),
+      num_edges_(base_->NumEdges()),
+      snapshot_edges_(num_edges_),
       snapshot_store_(std::move(store)),
       last_snapshot_epoch_(epoch) {
   COD_CHECK(options_.Validate().ok());
   COD_CHECK_EQ(num_nodes_, attrs_->NumNodes());
+  COD_CHECK(&core->graph() == base_.get());
   if (options_.scheduler != nullptr) sched_group_.emplace(*options_.scheduler);
-  const Graph& g = core->graph();
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    const auto [u, v] = g.Endpoints(e);
-    edges_[EdgeKey(u, v, num_nodes_)] = g.Weight(e);
-  }
-  snapshot_edges_ = edges_.size();
   if (options_.delta_rebuild) {
     // The reuse caches are not persisted (delta_cur_ stays -1), so the
     // first rebuild after a warm restart runs cold — bit-identity holds
@@ -223,7 +220,7 @@ Result<std::unique_ptr<DynamicCodService>> DynamicCodService::Recover(
       std::move(snap.sketch), snap.meta.degraded, std::move(global_ids));
   if (!core.ok()) return core.status();
   return std::unique_ptr<DynamicCodService>(new DynamicCodService(
-      RecoveredTag{}, std::move(attrs), options,
+      RecoveredTag{}, std::move(attrs), options, std::move(graph),
       std::shared_ptr<const EngineCore>(std::move(core).value()),
       std::move(store), snap.meta.epoch, snap.meta.build_index,
       snap.meta.degraded));
@@ -258,7 +255,11 @@ bool DynamicCodService::AddEdge(NodeId u, NodeId v, double weight) {
   COD_CHECK(v < num_nodes_);
   if (u == v) return false;
   std::lock_guard<std::mutex> lock(mu_);
-  edges_[EdgeKey(u, v, num_nodes_)] = weight;
+  const auto [it, inserted] = overlay_.try_emplace(EdgeKey(u, v));
+  const bool present = inserted ? base_->FindEdge(u, v) != kInvalidEdge
+                                : it->second.has_value();
+  if (!present) ++num_edges_;
+  it->second = weight;
   ++pending_updates_;
   if (!dirty_pending_.empty()) {
     // Both endpoints: adding, removing, or reweighting (u, v) changes the
@@ -273,7 +274,16 @@ bool DynamicCodService::RemoveEdge(NodeId u, NodeId v) {
   COD_CHECK(u < num_nodes_);
   COD_CHECK(v < num_nodes_);
   std::lock_guard<std::mutex> lock(mu_);
-  if (edges_.erase(EdgeKey(u, v, num_nodes_)) == 0) return false;
+  const uint64_t key = EdgeKey(u, v);
+  const auto it = overlay_.find(key);
+  if (it != overlay_.end()) {
+    if (!it->second.has_value()) return false;
+    it->second.reset();
+  } else {
+    if (base_->FindEdge(u, v) == kInvalidEdge) return false;
+    overlay_.emplace(key, std::nullopt);
+  }
+  --num_edges_;
   ++pending_updates_;
   if (!dirty_pending_.empty()) {
     dirty_pending_[u] = 1;
@@ -298,7 +308,7 @@ size_t DynamicCodService::pending_updates() const {
 
 size_t DynamicCodService::NumEdges() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return edges_.size();
+  return num_edges_;
 }
 
 RebuildStats DynamicCodService::rebuild_stats() const {
@@ -326,15 +336,35 @@ bool DynamicCodService::RetryScheduled() const {
 }
 
 Result<DynamicCodService::EpochBuild> DynamicCodService::BuildEpochCore(
-    const EdgeMap& edges, uint64_t build_index) {
+    const EdgeCapture& edges, uint64_t build_index) {
   if (COD_FAILPOINT("dynamic_service/rebuild")) {
     return Status::IoError("failpoint dynamic_service/rebuild armed");
   }
+  // Merge the base's canonical edges with the overlay, both in (u, v)
+  // order: the builder receives strictly increasing edges and keeps them
+  // as they come.
   GraphBuilder builder(num_nodes_);
-  for (const auto& [key, weight] : edges) {
-    builder.AddEdge(static_cast<NodeId>(key / num_nodes_),
-                    static_cast<NodeId>(key % num_nodes_), weight);
+  const Graph& base = *edges.base;
+  auto next = edges.overlay.begin();
+  const auto add_overlay = [&builder](const Overlay::value_type& entry) {
+    if (entry.second.has_value()) {
+      builder.AddEdge(static_cast<NodeId>(entry.first >> 32),
+                      static_cast<NodeId>(entry.first), *entry.second);
+    }
+  };
+  for (EdgeId e = 0; e < base.NumEdges(); ++e) {
+    const auto [u, v] = base.Endpoints(e);
+    const uint64_t key = EdgeKey(u, v);
+    for (; next != edges.overlay.end() && next->first < key; ++next) {
+      add_overlay(*next);
+    }
+    if (next != edges.overlay.end() && next->first == key) {
+      add_overlay(*next++);
+    } else {
+      builder.AddEdge(u, v, base.Weight(e));
+    }
   }
+  for (; next != edges.overlay.end(); ++next) add_overlay(*next);
   auto graph = std::make_shared<const Graph>(std::move(builder).Build());
 
   // Both modes run the same counter-seeded builders and differ in two
@@ -423,7 +453,7 @@ Result<DynamicCodService::EpochBuild> DynamicCodService::BuildEpochCore(
         std::fill(dirty_since_cache_.begin(), dirty_since_cache_.end(), 0);
       }
       return EpochBuild{std::shared_ptr<const EngineCore>(std::move(core)),
-                        /*degraded=*/false};
+                        graph, /*degraded=*/false};
     }
     const bool budget_failure = himor.code() == StatusCode::kTimeout ||
                                 himor.code() == StatusCode::kCancelled;
@@ -444,7 +474,16 @@ Result<DynamicCodService::EpochBuild> DynamicCodService::BuildEpochCore(
     // epoch, with dirty_since_cache_ still covering everything since then.
     core->MarkIndexAbsent();
     return EpochBuild{std::shared_ptr<const EngineCore>(std::move(core)),
-                      /*degraded=*/true};
+                      graph, /*degraded=*/true};
+  }
+}
+
+void DynamicCodService::AdoptBaseLocked(std::shared_ptr<const Graph> graph,
+                                        const Overlay& captured) {
+  base_ = std::move(graph);
+  for (const auto& [key, state] : captured) {
+    const auto it = overlay_.find(key);
+    if (it != overlay_.end() && it->second == state) overlay_.erase(it);
   }
 }
 
@@ -505,7 +544,7 @@ void DynamicCodService::WriteSnapshotNow(
 
 Status DynamicCodService::Refresh() {
   const RebuildSites& rm = RebuildMetrics();  // resolve before taking mu_
-  EdgeMap edges;
+  EdgeCapture edges;
   uint64_t build_index = 0;
   size_t captured_pending = 0;
   std::unique_lock<std::mutex> lock(mu_);
@@ -527,10 +566,10 @@ Status DynamicCodService::Refresh() {
     rebuild_done_.wait(lock);
   }
   attempt_running_ = true;
-  edges = edges_;
+  edges = CaptureEdgesLocked();
   build_index = builds_started_++;
   captured_pending = pending_updates_ + absorbed;
-  snapshot_edges_ = edges_.size();
+  snapshot_edges_ = num_edges_;
   pending_updates_ = 0;
   FoldDirtyLocked();
   ++stats_.attempts;
@@ -546,6 +585,7 @@ Status DynamicCodService::Refresh() {
   // as soon as it observes the flag cleared.
   lock.lock();
   if (built.ok()) {
+    AdoptBaseLocked(built->graph, edges.overlay);
     ++stats_.published;
     rm.published->Increment();
     if (built->degraded) {
@@ -569,20 +609,20 @@ Status DynamicCodService::Refresh() {
 
 bool DynamicCodService::RefreshAsync() {
   COD_CHECK(options_.async_rebuild);
-  EdgeMap edges;
+  EdgeCapture edges;
   uint64_t build_index = 0;
   size_t captured_pending = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (RebuildInFlightLocked()) return false;
     attempt_running_ = true;
-    edges = edges_;
+    edges = CaptureEdgesLocked();
     build_index = builds_started_++;
     // The epoch being built absorbs everything pending as of this capture;
     // updates arriving during the build count against the NEXT epoch. A
     // failed build restores the captured count so drift can re-trigger.
     captured_pending = pending_updates_;
-    snapshot_edges_ = edges_.size();
+    snapshot_edges_ = num_edges_;
     pending_updates_ = 0;
     FoldDirtyLocked();
   }
@@ -595,7 +635,8 @@ bool DynamicCodService::RefreshAsync() {
   return true;
 }
 
-void DynamicCodService::RunRebuildAttempt(EdgeMap edges, uint64_t build_index,
+void DynamicCodService::RunRebuildAttempt(EdgeCapture edges,
+                                          uint64_t build_index,
                                           size_t captured_pending,
                                           uint32_t attempt,
                                           uint32_t backoff_ms) {
@@ -610,6 +651,7 @@ void DynamicCodService::RunRebuildAttempt(EdgeMap edges, uint64_t build_index,
     PublishEpoch(built->core, built->degraded, build_index);
     // Notify under the lock — see Refresh().
     std::lock_guard<std::mutex> lock(mu_);
+    AdoptBaseLocked(built->graph, edges.overlay);
     ++stats_.published;
     rm.published->Increment();
     if (built->degraded) {

@@ -24,10 +24,19 @@
 // their own QueryWorkspace; they never block, and a snapshot stays valid
 // (and answer-stable) for as long as the caller holds it, across any number
 // of later rebuilds. Writers (AddEdge / RemoveEdge) mutate only the pending
-// edge set under a mutex.
+// edit overlay under a mutex.
+//
+// Edge state: the service keeps no copy of the graph. The live edge set is
+// the BASE — the published epoch's Graph, shared with its EngineCore — with
+// the OVERLAY applied: an ordered map holding every edit since that graph
+// was built (a weight, or "removed"). A build captures the base pointer and
+// a copy of the overlay and merges the two in (u, v) order, which is the
+// order GraphBuilder keeps without sorting. A successful publish swaps the
+// base to the new graph and drops the overlay entries it already holds;
+// edits made after the capture stay. A failed build changes nothing.
 //
 // Epoch determinism: every build ticket t (0-based) samples with RNG seed
-// `options.seed + t`, so a service replaying the same
+// `Rng(options.seed + t).Next()`, so a service replaying the same
 // update/refresh/failure sequence publishes bit-identical epochs regardless
 // of whether rebuilds ran inline or on the scheduler. (A FAILED build consumes
 // its ticket, so after failures the published epoch number no longer equals
@@ -76,10 +85,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 
 #include "common/metrics.h"
 #include "common/task_scheduler.h"
@@ -217,21 +226,32 @@ class DynamicCodService : public CodServiceInterface {
     bool degraded = false;
     std::shared_ptr<const EngineCore> core;
   };
-  using EdgeMap = std::unordered_map<uint64_t, double>;
+  // Edits since the base graph, keyed by EdgeKey (so ordered by (u, v)):
+  // the edge's weight, or nullopt once it is removed.
+  using Overlay = std::map<uint64_t, std::optional<double>>;
 
-  // A successfully built epoch core; degraded = published index-absent.
+  // What a build starts from: the base graph and the overlay as of the
+  // capture. The live edge set then was the base with the overlay applied.
+  struct EdgeCapture {
+    std::shared_ptr<const Graph> base;
+    Overlay overlay;
+  };
+
+  // A successfully built epoch core and its graph; degraded = published
+  // index-absent.
   struct EpochBuild {
     std::shared_ptr<const EngineCore> core;
+    std::shared_ptr<const Graph> graph;
     bool degraded = false;
   };
 
   // A failed async attempt waiting out its backoff. Owns the captured edge
-  // snapshot and ticket so the re-submitted attempt is byte-identical to
+  // state and ticket so the re-submitted attempt is byte-identical to
   // the failed one (same seed stream). Guarded by mu_; mutually exclusive
   // with attempt_running_ (an attempt either executes or waits, never
   // both).
   struct PendingRetry {
-    EdgeMap edges;
+    EdgeCapture edges;
     uint64_t build_index = 0;
     size_t captured_pending = 0;
     uint32_t attempt = 0;          // attempt number the retry will run
@@ -249,7 +269,7 @@ class DynamicCodService : public CodServiceInterface {
   bool RebuildInFlightLocked() const {
     return attempt_running_ || retry_.has_value();
   }
-  // Builds an epoch core from an edge snapshot: graph ->
+  // Builds an epoch core from captured edges: merged graph ->
   // AgglomerativeClusterDelta -> FromPrebuilt -> TryBuildHimorDelta. Runs
   // on the single-flight build ticket with no locks held; non-const because
   // delta mode advances the ticket-owned reuse caches below. Delta mode
@@ -263,8 +283,14 @@ class DynamicCodService : public CodServiceInterface {
   // "dynamic_service/rebuild" failpoint or — unless publish_without_index
   // turns it into a degraded success — an over-budget / failpointed HIMOR
   // build.
-  Result<EpochBuild> BuildEpochCore(const EdgeMap& edges,
+  Result<EpochBuild> BuildEpochCore(const EdgeCapture& edges,
                                     uint64_t build_index);
+  // The current base and a copy of the overlay (mu_ held).
+  EdgeCapture CaptureEdgesLocked() const { return {base_, overlay_}; }
+  // After `graph`, built from `captured`, is published (mu_ held): makes it
+  // the base and drops the overlay entries still as they were captured.
+  void AdoptBaseLocked(std::shared_ptr<const Graph> graph,
+                       const Overlay& captured);
   // Folds dirty_pending_ into dirty_since_cache_ and clears it. Called at
   // build capture (mu_ held, this thread owns the ticket); the fold is a
   // union, so a ticket that fails and is re-captured stays correct.
@@ -272,7 +298,7 @@ class DynamicCodService : public CodServiceInterface {
   // One async attempt: build, publish on success, otherwise schedule the
   // retry deadline (or give up past the cap) — and return to the pool
   // either way.
-  void RunRebuildAttempt(EdgeMap edges, uint64_t build_index,
+  void RunRebuildAttempt(EdgeCapture edges, uint64_t build_index,
                          size_t captured_pending, uint32_t attempt,
                          uint32_t backoff_ms);
   // Moves the scheduled retry to the scheduler as an executing attempt
@@ -285,14 +311,17 @@ class DynamicCodService : public CodServiceInterface {
   void OnRetryTimer();
   void PublishEpoch(std::shared_ptr<const EngineCore> core, bool degraded,
                     uint64_t build_index);
-  static uint64_t EdgeKey(NodeId u, NodeId v, size_t n);
+  // Canonical key of edge {u, v}: min in the high half, max in the low.
+  static uint64_t EdgeKey(NodeId u, NodeId v);
 
   // Constructor behind Recover(): adopts an already-decoded epoch instead
-  // of building one. `core`'s graph seeds the edge map; `epoch` /
-  // `build_index` restore publication continuity.
+  // of building one. `graph` (the graph `core` holds) becomes the base
+  // with an empty overlay; `epoch` / `build_index` restore publication
+  // continuity.
   struct RecoveredTag {};
   DynamicCodService(RecoveredTag, std::shared_ptr<const AttributeTable> attrs,
                     const ServiceOptions& options,
+                    std::shared_ptr<const Graph> graph,
                     std::shared_ptr<const EngineCore> core,
                     std::unique_ptr<SnapshotStore> store, uint64_t epoch,
                     uint64_t build_index, bool degraded);
@@ -317,7 +346,11 @@ class DynamicCodService : public CodServiceInterface {
   std::shared_ptr<const GlobalIds> global_ids_;
 
   mutable std::mutex mu_;  // guards the pending state below
-  EdgeMap edges_;          // canonical key -> weight
+  // The live edge set is base_ with overlay_ applied (see the file
+  // comment); num_edges_ counts it. base_ is never null.
+  std::shared_ptr<const Graph> base_;
+  Overlay overlay_;
+  size_t num_edges_ = 0;
   size_t pending_updates_ = 0;
   size_t snapshot_edges_ = 0;
   uint64_t builds_started_ = 0;

@@ -1,9 +1,12 @@
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "common/random.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -182,6 +185,57 @@ TEST(TableTest, Formatters) {
   EXPECT_EQ(TablePrinter::Fmt(1.23456, 2), "1.23");
   EXPECT_EQ(TablePrinter::Fmt(size_t{42}), "42");
   EXPECT_EQ(TablePrinter::Fmt(-3), "-3");
+}
+
+// CRC32C known answers: the check value of the CRC catalogue and the
+// iSCSI test vectors of RFC 3720, appendix B.4.
+TEST(Crc32cTest, KnownAnswers) {
+  std::string zeros(32, '\0');
+  std::string ones(32, '\xff');
+  std::string up(32, '\0');
+  std::string down(32, '\0');
+  for (int i = 0; i < 32; ++i) {
+    up[i] = static_cast<char>(i);
+    down[i] = static_cast<char>(31 - i);
+  }
+  const std::vector<std::pair<std::string, uint32_t>> cases = {
+      {"", 0x00000000u},      {"123456789", 0xE3069283u},
+      {zeros, 0x8A9136AAu},   {ones, 0x62A8AB43u},
+      {up, 0x46DD794Eu},      {down, 0x113FDB5Cu},
+  };
+  for (const auto& [bytes, want] : cases) {
+    EXPECT_EQ(Crc32c(bytes), want);
+    EXPECT_EQ(Crc32cExtendPortable(0, bytes.data(), bytes.size()), want);
+    if (Crc32cHardwareAvailable()) {
+      EXPECT_EQ(Crc32cExtendHardware(0, bytes.data(), bytes.size()), want);
+    }
+  }
+}
+
+// Every start offset (alignment) and every length around the 8-byte word
+// size: the hardware path, the dispatched one and chunked extension all
+// equal the portable reference.
+TEST(Crc32cTest, PathsAgreeAtEveryOffsetAndLength) {
+  Rng rng(11);
+  std::vector<unsigned char> buf(320);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.Next());
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; offset + len <= 300; ++len) {
+      const unsigned char* p = buf.data() + offset;
+      const uint32_t want = Crc32cExtendPortable(0, p, len);
+      ASSERT_EQ(Crc32c(p, len), want) << offset << "+" << len;
+      if (Crc32cHardwareAvailable()) {
+        ASSERT_EQ(Crc32cExtendHardware(0, p, len), want)
+            << offset << "+" << len;
+      }
+      const size_t cut = len / 3;
+      ASSERT_EQ(Crc32cExtend(Crc32c(p, cut), p + cut, len - cut), want)
+          << offset << "+" << len;
+      ASSERT_EQ(Crc32cExtendPortable(Crc32cExtendPortable(0, p, cut), p + cut,
+                                     len - cut),
+                want);
+    }
+  }
 }
 
 }  // namespace

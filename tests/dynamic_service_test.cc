@@ -4,9 +4,12 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +18,7 @@
 #include "core/query_batch.h"
 #include "core/query_workspace.h"
 #include "graph/generators.h"
+#include "serving/sharded_service.h"
 #include "tests/test_util.h"
 
 namespace cod {
@@ -763,6 +767,290 @@ TEST(DynamicServiceTest, ZeroNodeServicePublishesSnapshotsAndRecovers) {
     }
     ASSERT_TRUE(service.Refresh().ok());
     EXPECT_EQ(service.epoch(), 3u);
+  }
+}
+
+// ---- Edge-set model: the service's base + overlay against a std::map. ----
+
+// Reference edge set: canonical (u, v) -> weight.
+using EdgeModel = std::map<std::pair<NodeId, NodeId>, double>;
+
+// Four disjoint HPP blocks, so a 2-shard partition splits the graph.
+World MakeSplitWorld(uint64_t seed) {
+  constexpr size_t kParts = 4;
+  constexpr size_t kNodesPerPart = 40;
+  Rng rng(seed);
+  GraphBuilder gb(kParts * kNodesPerPart);
+  std::vector<uint32_t> block(kParts * kNodesPerPart, 0);
+  uint32_t next_block = 0;
+  for (size_t p = 0; p < kParts; ++p) {
+    HppParams params;
+    params.num_nodes = kNodesPerPart;
+    params.num_edges = 140;
+    params.levels = 2;
+    params.fanout = 3;
+    GeneratedGraph gen = HierarchicalPlantedPartition(params, rng);
+    const NodeId base = static_cast<NodeId>(p * kNodesPerPart);
+    for (EdgeId e = 0; e < gen.graph.NumEdges(); ++e) {
+      const auto [u, v] = gen.graph.Endpoints(e);
+      gb.AddEdge(base + u, base + v, gen.graph.Weight(e));
+    }
+    for (size_t v = 0; v < kNodesPerPart; ++v) {
+      block[base + v] = next_block + gen.block[v];
+    }
+    next_block += gen.num_blocks;
+  }
+  World w;
+  w.graph = std::move(gb).Build();
+  w.attrs = AssignCorrelatedAttributes(block, 4, 0.8, 0.1, rng);
+  return w;
+}
+
+// The graph a model builds, fed in DESCENDING order so the builder takes
+// its sorting path: an independent reference for the service's merge.
+// `keep` selects the edges (one shard's) and `rename` maps their ids.
+template <typename Keep, typename Rename>
+Graph ModelGraph(const EdgeModel& model, size_t num_nodes, Keep keep,
+                 Rename rename) {
+  GraphBuilder builder(num_nodes);
+  for (auto it = model.rbegin(); it != model.rend(); ++it) {
+    const auto [u, v] = it->first;
+    if (keep(u, v)) builder.AddEdge(rename(u), rename(v), it->second);
+  }
+  return std::move(builder).Build();
+}
+
+void ExpectSameGraph(const Graph& got, const Graph& want) {
+  ASSERT_EQ(got.NumNodes(), want.NumNodes());
+  ASSERT_EQ(got.NumEdges(), want.NumEdges());
+  EXPECT_EQ(got.HasWeights(), want.HasWeights());
+  for (EdgeId e = 0; e < want.NumEdges(); ++e) {
+    ASSERT_EQ(got.Endpoints(e), want.Endpoints(e)) << "edge " << e;
+    ASSERT_EQ(got.Weight(e), want.Weight(e)) << "edge " << e;
+  }
+}
+
+// Every published graph (one per shard) equals the model's.
+void ExpectPublished(CodServiceInterface& service, const EdgeModel& model,
+                     size_t num_nodes) {
+  if (auto* mono = dynamic_cast<DynamicCodService*>(&service)) {
+    ExpectSameGraph(
+        mono->engine().graph(),
+        ModelGraph(model, num_nodes, [](NodeId, NodeId) { return true; },
+                   [](NodeId v) { return v; }));
+    return;
+  }
+  auto& sharded = dynamic_cast<ShardedCodService&>(service);
+  const GraphPartition& part = sharded.partition();
+  for (uint32_t s = 0; s < sharded.num_shards(); ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    ExpectSameGraph(
+        sharded.shard(s).engine().graph(),
+        ModelGraph(
+            model, part.shard_nodes[s],
+            [&](NodeId u, NodeId) { return part.ShardOf(u) == s; },
+            [&](NodeId v) { return part.LocalOf(v); }));
+  }
+}
+
+// How many of the service's engines (one, or one per shard) have a
+// scheduled retry.
+uint32_t RetriesScheduled(CodServiceInterface& service) {
+  if (auto* mono = dynamic_cast<DynamicCodService*>(&service)) {
+    return mono->RetryScheduled() ? 1 : 0;
+  }
+  auto& sharded = dynamic_cast<ShardedCodService&>(service);
+  uint32_t scheduled = 0;
+  for (uint32_t s = 0; s < sharded.num_shards(); ++s) {
+    if (sharded.shard(s).RetryScheduled()) ++scheduled;
+  }
+  return scheduled;
+}
+
+// Drives random adds, reweights, removals and re-adds of edges removed
+// earlier (possibly since a build's capture) against the service and the
+// model, checking every return value and NumEdges() after every step.
+class EdgeTrace {
+ public:
+  EdgeTrace(EdgeModel model, std::vector<uint32_t> shard_of, uint64_t seed)
+      : model_(std::move(model)), shard_of_(std::move(shard_of)), rng_(seed) {}
+
+  const EdgeModel& model() const { return model_; }
+
+  void Run(CodServiceInterface& service, int steps) {
+    for (int i = 0; i < steps; ++i) {
+      Step(service);
+      ASSERT_EQ(service.NumEdges(), model_.size()) << "after step " << i;
+    }
+  }
+
+ private:
+  void Step(CodServiceInterface& service) {
+    static constexpr double kWeights[] = {1.0, 1.0, 0.5, 2.0, 3.0};
+    const double weight = kWeights[rng_.UniformInt(5)];
+    const uint64_t op = rng_.UniformInt(10);
+    if (op < 3) {  // add a random same-shard pair (new or present)
+      const auto [u, v] = RandomPair();
+      ASSERT_TRUE(service.AddEdge(u, v, weight));
+      model_[{std::min(u, v), std::max(u, v)}] = weight;
+    } else if (op < 5 && !model_.empty()) {  // reweight a present edge
+      const auto [u, v] = RandomPresent();
+      ASSERT_TRUE(service.AddEdge(v, u, weight));
+      model_[{u, v}] = weight;
+    } else if (op < 7 && !model_.empty()) {  // remove a present edge
+      const auto [u, v] = RandomPresent();
+      ASSERT_TRUE(service.RemoveEdge(u, v));
+      model_.erase({u, v});
+      removed_.push_back({u, v});
+    } else if (op < 8 && !removed_.empty()) {  // re-add a removed edge
+      const auto [u, v] = removed_[rng_.UniformInt(removed_.size())];
+      ASSERT_TRUE(service.AddEdge(u, v, weight));
+      model_[{u, v}] = weight;
+    } else if (op < 9 && !removed_.empty()) {  // remove it (again?)
+      const auto [u, v] = removed_[rng_.UniformInt(removed_.size())];
+      const bool present = model_.erase({u, v}) > 0;
+      ASSERT_EQ(service.RemoveEdge(v, u), present);
+    } else {  // remove a random pair, usually absent
+      const auto [u, v] = RandomPair();
+      const bool present = model_.erase({std::min(u, v), std::max(u, v)}) > 0;
+      ASSERT_EQ(service.RemoveEdge(u, v), present);
+      if (present) removed_.push_back({std::min(u, v), std::max(u, v)});
+    }
+  }
+
+  std::pair<NodeId, NodeId> RandomPair() {
+    const NodeId n = static_cast<NodeId>(shard_of_.size());
+    for (;;) {
+      const NodeId u = static_cast<NodeId>(rng_.UniformInt(n));
+      const NodeId v = static_cast<NodeId>(rng_.UniformInt(n));
+      if (u != v && shard_of_[u] == shard_of_[v]) return {u, v};
+    }
+  }
+
+  std::pair<NodeId, NodeId> RandomPresent() {
+    auto it = model_.begin();
+    std::advance(it, rng_.UniformInt(model_.size()));
+    return it->first;
+  }
+
+  EdgeModel model_;
+  std::vector<uint32_t> shard_of_;
+  std::vector<std::pair<NodeId, NodeId>> removed_;
+  Rng rng_;
+};
+
+// The live edge set is the published graph with the overlay of edits on
+// top. Checked against a std::map across every way a build starts, fails
+// or is superseded: Refresh, RefreshAsync with updates racing the build
+// and its overlay prune, a failpointed rebuild, a scheduled retry that
+// Refresh absorbs, and a warm restart — with delta rebuilds on and off, at
+// 1 and 2 shards.
+TEST(DynamicServiceTest, EdgeSetMatchesModelAcrossBuildsAndRestart) {
+  for (const uint32_t shards : {1u, 2u}) {
+    for (const bool delta : {false, true}) {
+      SCOPED_TRACE("shards " + std::to_string(shards) + " delta " +
+                   std::to_string(delta));
+      const std::string dir = ::testing::TempDir() +
+                              "/dynamic_service-model-" +
+                              std::to_string(shards) + (delta ? "d" : "f");
+      std::filesystem::remove_all(dir);
+      TaskScheduler pool(2);
+      ServiceOptions options = SmallOptions(10.0);
+      options.num_shards = shards;
+      options.delta_rebuild = delta;
+      options.async_rebuild = true;
+      options.scheduler = &pool;
+      options.snapshot_dir = dir;
+      options.max_rebuild_retries = 3;
+      // Retries wait far longer than the test: only Refresh absorbs them.
+      options.rebuild_backoff_initial_ms = 60000;
+      options.rebuild_backoff_max_ms = 60000;
+
+      World w = MakeSplitWorld(41);
+      const size_t n = w.graph.NumNodes();
+      EdgeModel initial;
+      for (EdgeId e = 0; e < w.graph.NumEdges(); ++e) {
+        initial[w.graph.Endpoints(e)] = w.graph.Weight(e);
+      }
+      std::unique_ptr<CodServiceInterface> service =
+          MakeCodService(std::move(w.graph), std::move(w.attrs), options);
+      std::vector<uint32_t> shard_of(n, 0);
+      if (auto* sharded = dynamic_cast<ShardedCodService*>(service.get())) {
+        shard_of = sharded->partition().shard_of_node;
+      }
+      EdgeTrace trace(initial, shard_of, 100 + shards + (delta ? 10 : 0));
+      ASSERT_EQ(service->NumEdges(), initial.size());
+      ExpectPublished(*service, trace.model(), n);
+
+      // Refresh.
+      trace.Run(*service, 60);
+      ASSERT_TRUE(service->Refresh().ok());
+      ExpectPublished(*service, trace.model(), n);
+
+      // RefreshAsync, with updates racing the build and its prune.
+      trace.Run(*service, 40);
+      const EdgeModel captured = trace.model();
+      ASSERT_TRUE(service->RefreshAsync());
+      trace.Run(*service, 40);
+      service->WaitForRebuild();
+      ExpectPublished(*service, captured, n);
+      ASSERT_EQ(service->NumEdges(), trace.model().size());
+      trace.Run(*service, 20);
+      ASSERT_TRUE(service->Refresh().ok());
+      ExpectPublished(*service, trace.model(), n);
+
+      // A failed rebuild changes nothing.
+      const EdgeModel published = trace.model();
+      trace.Run(*service, 40);
+      {
+        ScopedFailpoint fp("dynamic_service/rebuild", shards);
+        EXPECT_FALSE(service->Refresh().ok());
+      }
+      ExpectPublished(*service, published, n);
+      ASSERT_EQ(service->NumEdges(), trace.model().size());
+      trace.Run(*service, 20);
+      ASSERT_TRUE(service->Refresh().ok());
+      ExpectPublished(*service, trace.model(), n);
+
+      // A scheduled retry that Refresh absorbs, with edits (and re-adds)
+      // made after the failed attempt's capture.
+      trace.Run(*service, 40);
+      {
+        ScopedFailpoint fp("dynamic_service/rebuild", shards);
+        ASSERT_TRUE(service->RefreshAsync());
+        const auto spin_deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (RetriesScheduled(*service) < shards) {
+          ASSERT_LT(std::chrono::steady_clock::now(), spin_deadline);
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
+      trace.Run(*service, 40);
+      ASSERT_TRUE(service->Refresh().ok());
+      EXPECT_EQ(RetriesScheduled(*service), 0u);
+      ExpectPublished(*service, trace.model(), n);
+
+      // Warm restart: the recovered service adopts the snapshot's graph.
+      // Edits not yet built are not durable, so publish them first.
+      trace.Run(*service, 30);
+      ASSERT_TRUE(service->Refresh().ok());
+      const uint64_t epoch = service->epoch();
+      service.reset();
+      World cold = MakeSplitWorld(41);
+      Result<std::unique_ptr<CodServiceInterface>> recovered =
+          RecoverCodService(options, std::move(cold.graph),
+                            std::move(cold.attrs));
+      ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+      service = std::move(recovered).value();
+      EXPECT_EQ(service->epoch(), epoch);
+      ASSERT_EQ(service->NumEdges(), trace.model().size());
+      ExpectPublished(*service, trace.model(), n);
+      trace.Run(*service, 60);
+      ASSERT_TRUE(service->Refresh().ok());
+      ExpectPublished(*service, trace.model(), n);
+      service.reset();
+      std::filesystem::remove_all(dir);
+    }
   }
 }
 
