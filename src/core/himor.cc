@@ -448,17 +448,19 @@ HimorIndex HimorIndex::BuildFromItems(
   }
 
   // ---- CSR-pack the per-node entry lists. ----
-  HimorIndex index;
-  index.max_rank_ = max_rank;
-  index.offsets_.assign(n + 1, 0);
+  std::vector<size_t> offsets(n + 1, 0);
   for (NodeId v = 0; v < n; ++v) {
-    index.offsets_[v + 1] = index.offsets_[v] + per_node[v].size();
+    offsets[v + 1] = offsets[v] + per_node[v].size();
   }
-  index.entries_.resize(index.offsets_[n]);
+  std::vector<Entry> entries(offsets[n]);
   for (NodeId v = 0; v < n; ++v) {
     std::copy(per_node[v].begin(), per_node[v].end(),
-              index.entries_.begin() + index.offsets_[v]);
+              entries.begin() + offsets[v]);
   }
+  HimorIndex index;
+  index.max_rank_ = max_rank;
+  index.offsets_ = SharedArray<size_t>(std::move(offsets));
+  index.entries_ = SharedArray<Entry>(std::move(entries));
   return index;
 }
 
@@ -1116,14 +1118,14 @@ Result<HimorIndex> HimorIndex::BuildDelta(
 
 void HimorIndex::SerializeTo(BinaryBufferWriter& out) const {
   out.WritePod(max_rank_);
-  out.WriteVector(offsets_);
-  out.WriteVector(entries_);
+  out.WriteArray(offsets_);
+  out.WriteArray(entries_);
 }
 
 Result<HimorIndex> HimorIndex::Deserialize(BinarySpanReader& in) {
   HimorIndex index;
-  if (!in.ReadPod(&index.max_rank_) || !in.ReadVector(&index.offsets_) ||
-      !in.ReadVector(&index.entries_)) {
+  if (!in.ReadPod(&index.max_rank_) || !in.ReadArray(&index.offsets_) ||
+      !in.ReadArray(&index.entries_)) {
     return in.status();
   }
   if (index.max_rank_ == 0) {

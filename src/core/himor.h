@@ -247,10 +247,13 @@ class HimorIndex {
   }
 
   // Payload codec, embedded in the checksummed epoch snapshot container
-  // (storage/epoch_snapshot.h). A decoded index is only valid together with
-  // the dendrogram it was built over, which the snapshot carries too.
-  // Deserialize validates structure: corrupt bytes produce a Status, never
-  // an index with out-of-range offsets.
+  // (storage/epoch_snapshot.h): max_rank, then the offsets (u64) and the
+  // entries as aligned arrays (common/binary_io.h), which Deserialize
+  // adopts in place. A decoded index is only valid together with the
+  // dendrogram it was built over, which the snapshot carries too
+  // (EngineCore::FromPrebuilt checks every entry against it). Deserialize
+  // validates structure: corrupt bytes produce a Status, never an index
+  // with out-of-range offsets.
   void SerializeTo(BinaryBufferWriter& out) const;
   static Result<HimorIndex> Deserialize(BinarySpanReader& in);
 
@@ -285,8 +288,8 @@ class HimorIndex {
       CoverageSketchBuilder* sketch = nullptr);
 
   uint32_t max_rank_ = 0;
-  std::vector<size_t> offsets_;  // per node, into entries_
-  std::vector<Entry> entries_;
+  SharedArray<size_t> offsets_;  // per node, into entries_
+  SharedArray<Entry> entries_;
 };
 
 }  // namespace cod

@@ -60,6 +60,9 @@ class AttributeTable {
 
  private:
   friend class AttributeTableBuilder;
+  friend void SerializeAttributes(const AttributeTable& table,
+                                  BinaryBufferWriter& out);
+  friend Result<AttributeTable> DeserializeAttributes(BinarySpanReader& in);
 
   std::vector<size_t> offsets_;
   std::vector<AttributeId> values_;

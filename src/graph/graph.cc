@@ -36,8 +36,8 @@ void GraphBuilder::SetNumNodes(size_t n) {
 }
 
 Graph GraphBuilder::Build() && {
-  Graph g;
-  g.offsets_.assign(num_nodes_ + 1, 0);
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  std::vector<double> weights;
   bool weighted = false;
   const bool strictly_increasing =
       std::adjacent_find(pending_.begin(), pending_.end(),
@@ -45,11 +45,10 @@ Graph GraphBuilder::Build() && {
                            return !(a < b);
                          }) == pending_.end();
   if (strictly_increasing) {
-    // Already canonical (a deserialized graph, a service rebuild): nothing
-    // to sort or merge.
-    g.edges_ = std::move(pending_);
-    g.weights_ = std::move(pending_weights_);
-    weighted = std::any_of(g.weights_.begin(), g.weights_.end(),
+    // Already canonical (a service rebuild): nothing to sort or merge.
+    edges = std::move(pending_);
+    weights = std::move(pending_weights_);
+    weighted = std::any_of(weights.begin(), weights.end(),
                            [](double w) { return w != 1.0; });
   } else {
     // Sort edge records to merge duplicates deterministically.
@@ -60,33 +59,40 @@ Graph GraphBuilder::Build() && {
     });
     for (size_t idx : order) {
       const auto& e = pending_[idx];
-      if (!g.edges_.empty() && g.edges_.back() == e) {
-        g.weights_.back() += pending_weights_[idx];
+      if (!edges.empty() && edges.back() == e) {
+        weights.back() += pending_weights_[idx];
         weighted = true;
         continue;
       }
-      g.edges_.push_back(e);
-      g.weights_.push_back(pending_weights_[idx]);
+      edges.push_back(e);
+      weights.push_back(pending_weights_[idx]);
       if (pending_weights_[idx] != 1.0) weighted = true;
     }
   }
-  if (!weighted) g.weights_ = {};  // release the all-1.0 buffer too
+  if (!weighted) weights = {};  // release the all-1.0 buffer too
 
   // Two-pass CSR fill.
-  for (const auto& [u, v] : g.edges_) {
-    ++g.offsets_[u + 1];
-    ++g.offsets_[v + 1];
+  std::vector<size_t> offsets(num_nodes_ + 1, 0);
+  for (const auto& [u, v] : edges) {
+    ++offsets[u + 1];
+    ++offsets[v + 1];
   }
-  for (size_t i = 1; i <= num_nodes_; ++i) g.offsets_[i] += g.offsets_[i - 1];
-  g.adjacency_.resize(2 * g.edges_.size());
-  std::vector<size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (EdgeId e = 0; e < g.edges_.size(); ++e) {
-    const auto [u, v] = g.edges_[e];
-    g.adjacency_[cursor[u]++] = AdjEntry{v, e};
-    g.adjacency_[cursor[v]++] = AdjEntry{u, e};
+  for (size_t i = 1; i <= num_nodes_; ++i) offsets[i] += offsets[i - 1];
+  std::vector<AdjEntry> adjacency(2 * edges.size());
+  std::vector<size_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (EdgeId e = 0; e < edges.size(); ++e) {
+    const auto [u, v] = edges[e];
+    adjacency[cursor[u]++] = AdjEntry{v, e};
+    adjacency[cursor[v]++] = AdjEntry{u, e};
   }
-  // Neighbor lists come out sorted by id because edges were sorted and each
-  // node's slots are filled in edge order; sortedness is handy for tests.
+  // Neighbor lists come out strictly increasing by id because edges were
+  // sorted and each node's slots are filled in edge order; the graph
+  // section decoder (graph_io.h) relies on it.
+  Graph g;
+  g.offsets_ = SharedArray<size_t>(std::move(offsets));
+  g.adjacency_ = SharedArray<AdjEntry>(std::move(adjacency));
+  g.edges_ = SharedArray<std::pair<NodeId, NodeId>>(std::move(edges));
+  g.weights_ = SharedArray<double>(std::move(weights));
   return g;
 }
 

@@ -2,8 +2,9 @@
 //
 // This is the structural substrate of codlib: communities are node sets over
 // a Graph, hierarchies are built on it, and influence processes run over its
-// edges. Graphs are built once through GraphBuilder and never mutated, which
-// keeps adjacency iteration cache-friendly and makes sharing across modules
+// edges. Graphs are built once through GraphBuilder (or adopted from a
+// snapshot's graph section, graph_io.h) and never mutated, which keeps
+// adjacency iteration cache-friendly and makes sharing across modules
 // trivial.
 //
 // Conventions:
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/shared_array.h"
 #include "common/status.h"
 
 namespace cod {
@@ -37,6 +39,9 @@ struct AdjEntry {
   NodeId to;
   EdgeId edge;
 };
+
+class BinaryBufferWriter;
+class BinarySpanReader;
 
 class Graph {
  public:
@@ -82,11 +87,13 @@ class Graph {
 
  private:
   friend class GraphBuilder;
+  friend void SerializeGraph(const Graph& g, BinaryBufferWriter& out);
+  friend Result<Graph> DeserializeGraph(BinarySpanReader& in);
 
-  std::vector<size_t> offsets_;            // size NumNodes()+1
-  std::vector<AdjEntry> adjacency_;        // size 2*NumEdges()
-  std::vector<std::pair<NodeId, NodeId>> edges_;  // canonical (min, max)
-  std::vector<double> weights_;            // empty, or size NumEdges()
+  SharedArray<size_t> offsets_;            // size NumNodes()+1
+  SharedArray<AdjEntry> adjacency_;        // size 2*NumEdges()
+  SharedArray<std::pair<NodeId, NodeId>> edges_;  // canonical (min, max)
+  SharedArray<double> weights_;            // empty, or size NumEdges()
 };
 
 // Accumulates edges and produces an immutable Graph. Duplicate edges are

@@ -1,5 +1,6 @@
 #include "graph/graph_io.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -25,157 +26,160 @@ constexpr uint64_t kMaxNameBytes = 1 << 20;
 }  // namespace
 
 void SerializeGraph(const Graph& g, BinaryBufferWriter& out) {
-  out.WritePod<uint64_t>(g.NumNodes());
-  out.WritePod<uint8_t>(g.HasWeights() ? 1 : 0);
-  // Endpoints flat in EdgeId order. GraphBuilder::Build() canonicalizes
-  // ((min, max) pairs, lexicographically sorted, duplicates merged), so these
-  // are strictly increasing — a fact DeserializeGraph re-validates and that
-  // makes the rebuild reproduce identical edge ids and adjacency.
-  std::vector<NodeId> endpoints;
-  endpoints.reserve(2 * g.NumEdges());
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    const auto [u, v] = g.Endpoints(e);
-    endpoints.push_back(u);
-    endpoints.push_back(v);
-  }
-  out.WriteVector(endpoints);
-  if (g.HasWeights()) {
-    std::vector<double> weights(g.NumEdges());
-    for (EdgeId e = 0; e < g.NumEdges(); ++e) weights[e] = g.Weight(e);
-    out.WriteVector(weights);
-  }
+  out.WriteArray(g.offsets_);
+  out.WriteArray(g.adjacency_);
+  out.WriteArray(g.edges_);
+  out.WriteArray(g.weights_);
 }
 
 Result<Graph> DeserializeGraph(BinarySpanReader& in) {
-  uint64_t num_nodes = 0;
-  uint8_t has_weights = 0;
-  if (!in.ReadPod(&num_nodes) || !in.ReadPod(&has_weights)) {
+  Graph g;
+  if (!in.ReadArray(&g.offsets_, kMaxBinaryNodes + 1) ||
+      !in.ReadArray(&g.adjacency_) || !in.ReadArray(&g.edges_) ||
+      !in.ReadArray(&g.weights_)) {
     return in.status();
   }
-  if (num_nodes > kMaxBinaryNodes) {
-    in.Fail("node count exceeds the 1e8 limit");
+  // The arrays are adopted as they are, so every invariant GraphBuilder
+  // establishes is checked here instead.
+  const SharedArray<size_t>& offsets = g.offsets_;
+  const SharedArray<AdjEntry>& adjacency = g.adjacency_;
+  const SharedArray<std::pair<NodeId, NodeId>>& edges = g.edges_;
+  const size_t num_nodes = g.NumNodes();
+  const size_t num_edges = edges.size();
+  if (offsets.empty() ? !adjacency.empty() || num_edges > 0
+                      : offsets.front() != 0 ||
+                            offsets.back() != adjacency.size()) {
+    in.Fail("CSR offsets do not span the adjacency");
     return in.status();
   }
-  if (has_weights > 1) {
-    in.Fail("corrupt weights flag");
-    return in.status();
-  }
-  std::vector<NodeId> endpoints;
-  if (!in.ReadVector(&endpoints)) return in.status();
-  if (endpoints.size() % 2 != 0) {
-    in.Fail("odd endpoint count");
-    return in.status();
-  }
-  const uint64_t num_edges = endpoints.size() / 2;
-  std::vector<double> weights;
-  if (has_weights) {
-    if (!in.ReadVector(&weights, num_edges)) return in.status();
-    if (weights.size() != num_edges) {
-      in.Fail("weight count does not match edge count");
+  for (NodeId u = 0; u < num_nodes; ++u) {
+    if (offsets[u + 1] < offsets[u]) {
+      in.Fail("CSR offsets not monotone");
       return in.status();
     }
   }
-  GraphBuilder builder(num_nodes);
-  std::pair<NodeId, NodeId> prev{0, 0};
-  for (uint64_t e = 0; e < num_edges; ++e) {
-    const NodeId u = endpoints[2 * e];
-    const NodeId v = endpoints[2 * e + 1];
-    // Canonical-form invariants double as corruption detection: u < v (no
-    // self-loops), both in range, and edges strictly increasing (which also
-    // guarantees the rebuild has nothing to merge or reorder).
+  if (adjacency.size() != 2 * num_edges) {
+    in.Fail("adjacency does not hold two entries per edge");
+    return in.status();
+  }
+  if (!g.weights_.empty() && g.weights_.size() != num_edges) {
+    in.Fail("weight count does not match edge count");
+    return in.status();
+  }
+  if (!g.weights_.empty() &&
+      std::all_of(g.weights_.begin(), g.weights_.end(),
+                  [](double w) { return w == 1.0; })) {
+    // The builder keeps weights only when one differs from 1.0.
+    in.Fail("unweighted graph carries weights");
+    return in.status();
+  }
+  for (size_t e = 0; e < num_edges; ++e) {
+    // Canonical (min, max) pairs, strictly increasing: no self-loops, no
+    // parallel edges, both endpoints in range.
+    const auto [u, v] = edges[e];
     if (u >= v || v >= num_nodes) {
       in.Fail("invalid edge endpoints");
       return in.status();
     }
-    if (e > 0 && std::pair<NodeId, NodeId>{u, v} <= prev) {
+    if (e > 0 && edges[e] <= edges[e - 1]) {
       in.Fail("edges not in canonical order");
       return in.status();
     }
-    prev = {u, v};
-    builder.AddEdge(u, v, has_weights ? weights[e] : 1.0);
   }
-  return std::move(builder).Build();
+  // Sorted edges list each node's upper neighbors as one run, so the
+  // entries with a.to > u, node by node, name edges 0, 1, 2, ... in order;
+  // only the entries with a.to < u need a lookup.
+  EdgeId next_upper = 0;
+  for (NodeId u = 0; u < num_nodes; ++u) {
+    NodeId prev = 0;
+    for (size_t i = offsets[u]; i < offsets[u + 1]; ++i) {
+      const AdjEntry a = adjacency[i];
+      const bool named =
+          a.to > u ? a.edge == next_upper && next_upper < num_edges &&
+                         edges[next_upper] == std::pair{u, a.to}
+                   : a.edge < num_edges &&
+                         edges[a.edge] == std::pair{a.to, u};
+      if (!named) {
+        in.Fail("adjacency entry names an edge without that endpoint");
+        return in.status();
+      }
+      next_upper += a.to > u;
+      if (i > offsets[u] && a.to <= prev) {
+        in.Fail("neighbors not strictly increasing");
+        return in.status();
+      }
+      prev = a.to;
+    }
+  }
+  // Each of the 2E entries names a distinct (node, edge) incidence, and
+  // there are exactly 2E incidences: the adjacency is the builder's.
+  return g;
 }
 
 void SerializeAttributes(const AttributeTable& table, BinaryBufferWriter& out) {
-  out.WritePod<uint64_t>(table.NumNodes());
   out.WritePod<uint64_t>(table.NumAttributes());
   for (AttributeId a = 0; a < table.NumAttributes(); ++a) {
     out.WriteString(table.Name(a));
   }
-  // Per-node CSR: offsets, then the flat (sorted, deduplicated) value array.
-  std::vector<uint64_t> offsets;
-  std::vector<AttributeId> values;
-  offsets.reserve(table.NumNodes() + 1);
-  offsets.push_back(0);
-  for (NodeId v = 0; v < table.NumNodes(); ++v) {
-    const auto attrs = table.AttributesOf(v);
-    values.insert(values.end(), attrs.begin(), attrs.end());
-    offsets.push_back(values.size());
-  }
-  out.WriteVector(offsets);
-  out.WriteVector(values);
+  out.WriteArray(table.offsets_);
+  out.WriteArray(table.values_);
 }
 
 Result<AttributeTable> DeserializeAttributes(BinarySpanReader& in) {
-  uint64_t num_nodes = 0;
   uint64_t num_names = 0;
-  if (!in.ReadPod(&num_nodes) || !in.ReadPod(&num_names)) return in.status();
-  if (num_nodes > kMaxBinaryNodes) {
-    in.Fail("node count exceeds the 1e8 limit");
-    return in.status();
-  }
+  if (!in.ReadPod(&num_names)) return in.status();
   // Every name costs at least its 8-byte length prefix, bounding the count
   // by the bytes actually present.
   if (num_names > in.remaining() / sizeof(uint64_t)) {
     in.Fail("attribute name count exceeds remaining bytes");
     return in.status();
   }
-  AttributeTableBuilder builder;
+  AttributeTable table;
+  table.names_.resize(num_names);
+  table.index_.reserve(num_names);
   for (uint64_t a = 0; a < num_names; ++a) {
-    std::string name;
-    if (!in.ReadString(&name, kMaxNameBytes)) return in.status();
-    // Interning names in id order preserves the ids; a duplicate name would
-    // silently alias two ids, so reject it.
-    if (builder.Intern(name) != static_cast<AttributeId>(a)) {
+    if (!in.ReadString(&table.names_[a], kMaxNameBytes)) return in.status();
+    // A duplicate name would silently alias two ids.
+    if (!table.index_.emplace(table.names_[a], static_cast<AttributeId>(a))
+             .second) {
       in.Fail("duplicate attribute name");
       return in.status();
     }
   }
-  std::vector<uint64_t> offsets;
-  if (!in.ReadVector(&offsets, num_nodes + 1)) return in.status();
-  if (offsets.size() != num_nodes + 1 || offsets.front() != 0) {
+  // Copied, not adopted: every later epoch of a service shares this table,
+  // so it must not pin the snapshot section it came from.
+  if (!in.ReadArray(&table.offsets_, kMaxBinaryNodes + 1) ||
+      !in.ReadArray(&table.values_)) {
+    return in.status();
+  }
+  const std::vector<size_t>& offsets = table.offsets_;
+  const std::vector<AttributeId>& values = table.values_;
+  if (offsets.empty()
+          ? !values.empty()
+          : offsets.front() != 0 || offsets.back() != values.size()) {
     in.Fail("corrupt attribute offsets");
     return in.status();
   }
-  for (uint64_t v = 0; v < num_nodes; ++v) {
+  for (size_t v = 0; v + 1 < offsets.size(); ++v) {
     if (offsets[v] > offsets[v + 1]) {
       in.Fail("attribute offsets not monotone");
       return in.status();
     }
   }
-  std::vector<AttributeId> values;
-  if (!in.ReadVector(&values, offsets.back())) return in.status();
-  if (values.size() != offsets.back()) {
-    in.Fail("attribute value count does not match offsets");
-    return in.status();
-  }
-  for (uint64_t v = 0; v < num_nodes; ++v) {
-    for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+  for (size_t v = 0; v + 1 < offsets.size(); ++v) {
+    for (size_t i = offsets[v]; i < offsets[v + 1]; ++i) {
       if (values[i] >= num_names) {
         in.Fail("attribute id out of range");
         return in.status();
       }
-      // Sorted-unique per node is both a format invariant and what makes
-      // the rebuild reproduce the table exactly.
+      // Sorted-unique per node, as AttributeTableBuilder leaves them.
       if (i > offsets[v] && values[i] <= values[i - 1]) {
         in.Fail("attribute ids not sorted");
         return in.status();
       }
-      builder.Add(static_cast<NodeId>(v), values[i]);
     }
   }
-  return std::move(builder).Build(num_nodes);
+  return table;
 }
 
 Result<Graph> LoadEdgeList(const std::string& path) {

@@ -22,12 +22,19 @@ namespace cod {
 // ---- Binary payload codecs (buffer-to-buffer, no file envelope). ----
 //
 // Used by the epoch snapshot container (storage/epoch_snapshot.h), which
-// checksums each section itself. Round trips are exact: the deserialized
-// graph is rebuilt through GraphBuilder from its strictly increasing
-// canonical edges, which the builder keeps in order, so the result is
-// bit-identical to the original (adjacency, edge ids, weights).
-// Deserializers validate every length and id against the snapshot's
-// declared sizes — corrupt bytes produce a clean Status, never a crash.
+// checksums each section itself. Both payloads are aligned arrays
+// (binary_io.h):
+//  * graph: the CSR offsets (u64), the adjacency (AdjEntry), the canonical
+//    edges ((u32, u32), u < v, strictly increasing) and the weights (f64,
+//    empty when unweighted) — the arrays exactly as Graph holds them.
+//    DeserializeGraph adopts them in place (the graph shares the reader's
+//    buffer) after checking everything GraphBuilder guarantees: offsets
+//    monotone from 0 to 2E, each adjacency entry naming an edge with that
+//    endpoint, neighbors strictly increasing per node.
+//  * attributes: the name count and names, then the per-node CSR offsets
+//    (u64) and sorted attribute ids (u32). Decoded by copy.
+// Deserializers validate every length and id — corrupt bytes produce a
+// clean Status, never a crash.
 void SerializeGraph(const Graph& g, BinaryBufferWriter& out);
 Result<Graph> DeserializeGraph(BinarySpanReader& in);
 

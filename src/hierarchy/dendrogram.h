@@ -6,7 +6,10 @@
 // leaves (leaf i <=> NodeId i); internal vertices follow in construction
 // order, so for a binary agglomerative hierarchy the root is vertex 2n-2.
 //
-// The structure is immutable after Build() and precomputes:
+// The tree itself is three arrays — Parent, and Children as a CSR — built by
+// DendrogramBuilder or adopted from a snapshot's hierarchy section
+// (dendrogram_io.h). FromArrays validates them and derives the rest in two
+// flat passes over the vertex ids. The structure is immutable and offers:
 //  * Depth(c): distance from the root, with Depth(root) == 1 as in the paper.
 //  * Members(c): the leaves below c, contiguous in a global leaf ordering, so
 //    membership tests (Contains) are two integer comparisons.
@@ -20,6 +23,8 @@
 #include <span>
 #include <vector>
 
+#include "common/shared_array.h"
+#include "common/status.h"
 #include "graph/graph.h"
 
 namespace cod {
@@ -31,6 +36,19 @@ inline constexpr CommunityId kInvalidCommunity = static_cast<CommunityId>(-1);
 class Dendrogram {
  public:
   Dendrogram() = default;
+
+  // The tree over `num_leaves` leaves given by `parent` (kInvalidCommunity
+  // for the root) and the children CSR (`child_offsets`, NumVertices() + 1
+  // entries, into `children`); the arrays are adopted as they are.
+  // InvalidArgument unless they form one tree in the builder's shape: leaves
+  // 0..num_leaves-1 without children, every internal vertex with >= 2
+  // children of smaller id that name it as their parent, the root the last
+  // vertex, every vertex reached exactly once. No leaves, no vertices is the
+  // empty hierarchy.
+  static Result<Dendrogram> FromArrays(size_t num_leaves,
+                                       SharedArray<CommunityId> parent,
+                                       SharedArray<size_t> child_offsets,
+                                       SharedArray<CommunityId> children);
 
   Dendrogram(const Dendrogram&) = delete;
   Dendrogram& operator=(const Dendrogram&) = delete;
@@ -114,13 +132,14 @@ class Dendrogram {
   }
 
  private:
-  friend class DendrogramBuilder;
+  friend void SerializeDendrogram(const Dendrogram& dendrogram,
+                                  BinaryBufferWriter& out);
 
   size_t num_leaves_ = 0;
   CommunityId root_ = kInvalidCommunity;
-  std::vector<CommunityId> parent_;
-  std::vector<size_t> child_offsets_;
-  std::vector<CommunityId> children_;
+  SharedArray<CommunityId> parent_;
+  SharedArray<size_t> child_offsets_;
+  SharedArray<CommunityId> children_;
   std::vector<uint32_t> depth_;
   std::vector<uint32_t> leaf_begin_;
   std::vector<uint32_t> leaf_end_;
@@ -153,7 +172,9 @@ class DendrogramBuilder {
  private:
   size_t num_leaves_;
   std::vector<CommunityId> parent_;
-  std::vector<std::vector<CommunityId>> children_;
+  // Children CSR; merges create vertices in id order, so it only appends.
+  std::vector<size_t> child_offsets_;
+  std::vector<CommunityId> children_;
 };
 
 }  // namespace cod

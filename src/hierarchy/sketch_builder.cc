@@ -77,26 +77,32 @@ CoverageSketchIndex CoverageSketchBuilder::Finish() {
   index.rank_depth_ = rank_depth_;
 
   const size_t n = sigs_.size();
-  index.thr_offsets_.reserve(n + 1);
-  index.sig_offsets_.reserve(n + 1);
-  index.thr_offsets_.push_back(0);
-  index.sig_offsets_.push_back(0);
+  std::vector<uint64_t> thr_offsets;
+  std::vector<uint32_t> thr_values;
+  std::vector<uint64_t> sig_offsets;
+  std::vector<uint64_t> sig_values;
+  thr_offsets.reserve(n + 1);
+  sig_offsets.reserve(n + 1);
+  thr_offsets.push_back(0);
+  sig_offsets.push_back(0);
   for (CommunityId c = 0; c < n; ++c) {
     if (recorded_[c]) {
-      index.thr_values_.insert(index.thr_values_.end(), thr_[c].begin(),
-                               thr_[c].end());
-      index.sig_values_.insert(index.sig_values_.end(), sigs_[c].begin(),
-                               sigs_[c].end());
+      thr_values.insert(thr_values.end(), thr_[c].begin(), thr_[c].end());
+      sig_values.insert(sig_values.end(), sigs_[c].begin(), sigs_[c].end());
     } else {
       // Non-materialized communities keep empty rows AND zero support so
       // the index never claims knowledge it can't back.
       support_[c] = 0;
     }
-    index.thr_offsets_.push_back(index.thr_values_.size());
-    index.sig_offsets_.push_back(index.sig_values_.size());
+    thr_offsets.push_back(thr_values.size());
+    sig_offsets.push_back(sig_values.size());
   }
-  index.support_ = std::move(support_);
-  index.top_count_ = std::move(top_count_);
+  index.thr_offsets_ = SharedArray<uint64_t>(std::move(thr_offsets));
+  index.thr_values_ = SharedArray<uint32_t>(std::move(thr_values));
+  index.sig_offsets_ = SharedArray<uint64_t>(std::move(sig_offsets));
+  index.sig_values_ = SharedArray<uint64_t>(std::move(sig_values));
+  index.support_ = SharedArray<uint32_t>(std::move(support_));
+  index.top_count_ = SharedArray<uint32_t>(std::move(top_count_));
   index.build_merge_seconds_ = merge_seconds_;
   index.build_finalize_seconds_ = SecondsSince(start);
   return index;

@@ -68,18 +68,18 @@ void CoverageSketchIndex::SerializeTo(BinaryBufferWriter& out) const {
   out.WritePod(theta_);
   out.WritePod(sketch_bits_);
   out.WritePod(rank_depth_);
-  out.WriteVector(thr_offsets_);
-  out.WriteVector(thr_values_);
-  out.WriteVector(sig_offsets_);
-  out.WriteVector(sig_values_);
-  out.WriteVector(support_);
-  out.WriteVector(top_count_);
+  out.WriteArray(thr_offsets_);
+  out.WriteArray(thr_values_);
+  out.WriteArray(sig_offsets_);
+  out.WriteArray(sig_values_);
+  out.WriteArray(support_);
+  out.WriteArray(top_count_);
 }
 
 namespace {
 
 // Offsets must be a monotone prefix-sum over `count` rows ending at `total`.
-bool OffsetsValid(const std::vector<uint64_t>& offsets, size_t count,
+bool OffsetsValid(const SharedArray<uint64_t>& offsets, size_t count,
                   size_t total) {
   if (offsets.size() != count + 1 || offsets.front() != 0 ||
       offsets.back() != total) {
@@ -98,11 +98,11 @@ Result<CoverageSketchIndex> CoverageSketchIndex::Deserialize(
   CoverageSketchIndex index;
   if (!in.ReadPod(&index.schedule_seed_) || !in.ReadPod(&index.theta_) ||
       !in.ReadPod(&index.sketch_bits_) || !in.ReadPod(&index.rank_depth_) ||
-      !in.ReadVector(&index.thr_offsets_) ||
-      !in.ReadVector(&index.thr_values_) ||
-      !in.ReadVector(&index.sig_offsets_) ||
-      !in.ReadVector(&index.sig_values_) || !in.ReadVector(&index.support_) ||
-      !in.ReadVector(&index.top_count_)) {
+      !in.ReadArray(&index.thr_offsets_) ||
+      !in.ReadArray(&index.thr_values_) ||
+      !in.ReadArray(&index.sig_offsets_) ||
+      !in.ReadArray(&index.sig_values_) || !in.ReadArray(&index.support_) ||
+      !in.ReadArray(&index.top_count_)) {
     return in.status();
   }
   if (index.theta_ == 0 || index.rank_depth_ == 0 || index.sketch_bits_ > 30) {

@@ -37,6 +37,7 @@
 
 #include "common/binary_io.h"
 #include "common/random.h"
+#include "common/shared_array.h"
 #include "common/status.h"
 #include "graph/graph.h"
 #include "hierarchy/dendrogram.h"
@@ -96,13 +97,13 @@ class CoverageSketchIndex {
   // Descending exact coverage counts of C's top-min(rank_depth, support)
   // covered nodes. Empty for non-materialized communities.
   std::span<const uint32_t> ThresholdsOf(CommunityId c) const {
-    return std::span<const uint32_t>(thr_values_)
-        .subspan(thr_offsets_[c], thr_offsets_[c + 1] - thr_offsets_[c]);
+    return thr_values_.span().subspan(thr_offsets_[c],
+                                      thr_offsets_[c + 1] - thr_offsets_[c]);
   }
   // Bottom-k signature of C's covered set (empty when not materialized).
   std::span<const uint64_t> SignatureOf(CommunityId c) const {
-    return std::span<const uint64_t>(sig_values_)
-        .subspan(sig_offsets_[c], sig_offsets_[c + 1] - sig_offsets_[c]);
+    return sig_values_.span().subspan(sig_offsets_[c],
+                                      sig_offsets_[c + 1] - sig_offsets_[c]);
   }
   // Exact size of C's covered set (nodes with nonzero coverage count).
   uint32_t SupportOf(CommunityId c) const { return support_[c]; }
@@ -129,9 +130,11 @@ class CoverageSketchIndex {
 
   size_t MemoryBytes() const;
 
-  // Snapshot codec (section payload; the container adds magic/CRC).
-  // Deserialize validates structure: monotone offsets, descending
-  // thresholds, strictly ascending signatures, caps respected.
+  // Snapshot codec (section payload; the container adds magic/CRC): the
+  // schedule parameters, then the six arrays as aligned arrays
+  // (common/binary_io.h), which Deserialize adopts in place. Deserialize
+  // validates structure: monotone offsets, descending thresholds, strictly
+  // ascending signatures, caps respected.
   void SerializeTo(BinaryBufferWriter& out) const;
   static Result<CoverageSketchIndex> Deserialize(BinarySpanReader& in);
 
@@ -148,12 +151,12 @@ class CoverageSketchIndex {
   uint32_t sketch_bits_ = 0;
   uint32_t rank_depth_ = 0;
 
-  std::vector<uint64_t> thr_offsets_;  // NumCommunities() + 1
-  std::vector<uint32_t> thr_values_;
-  std::vector<uint64_t> sig_offsets_;  // NumCommunities() + 1
-  std::vector<uint64_t> sig_values_;
-  std::vector<uint32_t> support_;    // per community
-  std::vector<uint32_t> top_count_;  // per node
+  SharedArray<uint64_t> thr_offsets_;  // NumCommunities() + 1
+  SharedArray<uint32_t> thr_values_;
+  SharedArray<uint64_t> sig_offsets_;  // NumCommunities() + 1
+  SharedArray<uint64_t> sig_values_;
+  SharedArray<uint32_t> support_;    // per community
+  SharedArray<uint32_t> top_count_;  // per node
 
   double build_merge_seconds_ = 0.0;
   double build_finalize_seconds_ = 0.0;
