@@ -84,14 +84,23 @@ void BM_LcaQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_LcaQuery);
 
+// UPGMA clustering of one dataset's graph; the argument indexes
+// kClusterDatasets. pubmed-sim is the hub-heavy case, dblp-sim the largest.
+constexpr const char* kClusterDatasets[] = {"cora-sim", "pubmed-sim",
+                                            "dblp-sim"};
+
 void BM_AgglomerativeCluster(benchmark::State& state) {
-  const auto& data = Cora();
+  const char* name = kClusterDatasets[state.range(0)];
+  const AttributedGraph data = std::move(MakeDataset(name)).value();
+  state.SetLabel(name);
   for (auto _ : state) {
     const Dendrogram d = AgglomerativeCluster(data.graph);
     benchmark::DoNotOptimize(d.Root());
   }
 }
-BENCHMARK(BM_AgglomerativeCluster)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AgglomerativeCluster)
+    ->DenseRange(0, 2)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_LoreScores(benchmark::State& state) {
   const auto& data = Cora();

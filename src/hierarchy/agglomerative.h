@@ -10,9 +10,18 @@
 // best-merge agglomeration.
 //
 // Implementation notes:
-//  * Cluster adjacency lives in hash maps; a merge folds the smaller map into
-//    the larger and keeps the larger cluster's id, so total map traffic is
-//    O(|E| log |V|) expected.
+//  * Each cluster's adjacency is a flat run of (neighbour, state) links
+//    sorted by neighbour id, all runs in one pooled arena. A nearest-
+//    neighbour step scans the tip's run linearly. A merge of A and B merges
+//    their runs linearly (O(|A| + |B|), no more than the NN scans that led
+//    to it), and each neighbour D of the absorbed cluster rewrites its own
+//    run in place: a binary search, then one shift of at most |D| links. A
+//    merged run that fits neither old slot goes to the arena's end; the
+//    arena is packed again once more than half of it is garbage.
+//  * The surviving cluster id is the one with more neighbours (the chain
+//    tip on a tie). Cluster ids pick where the next chain starts, so this
+//    rule shapes the tree: changing it changes the dendrogram bytes even
+//    though the merge rule itself is untouched.
 //  * Execution is canonicalized per connected component: components run to
 //    completion one at a time, in order of their smallest node id, and their
 //    roots are merged into the tree root in that same order (similarity 0).
