@@ -1242,6 +1242,12 @@ TEST(ServiceOptionsTest, FingerprintTracksAnswerShapingFieldsOnly) {
     o = ServiceOptions{};
     o.engine.component_scoped = true;
     EXPECT_NE(o.Fingerprint(), fp);
+    o = ServiceOptions{};
+    o.engine.transform.transform = AttributeTransform::kJaccard;
+    EXPECT_NE(o.Fingerprint(), fp);
+    o = ServiceOptions{};
+    o.engine.transform.beta = 3.0;
+    EXPECT_NE(o.Fingerprint(), fp);
   }
   {
     // Latency/durability knobs deliberately do not: tuning them must never
@@ -1258,6 +1264,27 @@ TEST(ServiceOptionsTest, FingerprintTracksAnswerShapingFieldsOnly) {
   const ServiceOptions sharded_base = BaseOptions(4);
   EXPECT_EQ(ShardedCodService::ShardOptions(sharded_base, 0).Fingerprint(),
             ShardedCodService::ShardOptions(sharded_base, 3).Fingerprint());
+}
+
+// Absolute fingerprints of the default options and of each g_l transform.
+// A snapshot stores the fingerprint of the options that wrote it, so a value
+// that moves here refuses every snapshot written under those options.
+TEST(ServiceOptionsTest, FingerprintGoldens) {
+  const auto fingerprint_of = [](AttributeTransform transform, double beta) {
+    ServiceOptions o;
+    o.engine.transform.transform = transform;
+    o.engine.transform.beta = beta;
+    return o.Fingerprint();
+  };
+  EXPECT_EQ(ServiceOptions{}.Fingerprint(), 0xf40851f45135b3d2ULL);
+  EXPECT_EQ(fingerprint_of(AttributeTransform::kQueryBoost, 2.0),
+            0xf40851f45135b3d2ULL);
+  EXPECT_EQ(fingerprint_of(AttributeTransform::kJaccard, 2.0),
+            0x98883875e1e6cd00ULL);
+  EXPECT_EQ(fingerprint_of(AttributeTransform::kQueryJaccard, 2.0),
+            0x5b91b62b525f7b3dULL);
+  EXPECT_EQ(fingerprint_of(AttributeTransform::kQueryBoost, 0.5),
+            0xfbef03d7581cb48aULL);
 }
 
 // ---------------------------------------------------------------------------
