@@ -36,7 +36,6 @@
 #include "eval/datasets.h"
 #include "eval/query_gen.h"
 #include "hierarchy/lca.h"
-#include "influence/im.h"
 #include "influence/rr_pool.h"
 
 namespace cod {
@@ -148,17 +147,6 @@ void BM_HimorBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HimorBuild)->Unit(benchmark::kMillisecond);
-
-void BM_InfluenceMaximizationRis(benchmark::State& state) {
-  const EngineCore& engine = CoraEngine();
-  Rng rng(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        MaximizeInfluenceRis(engine.model(), 10, 20000, rng)
-            .estimated_influence);
-  }
-}
-BENCHMARK(BM_InfluenceMaximizationRis)->Unit(benchmark::kMillisecond);
 
 void BM_CodlQuery(benchmark::State& state) {
   const auto& data = Cora();

@@ -1,7 +1,5 @@
 #include "core/global_recluster.h"
 
-#include <algorithm>
-
 #include "hierarchy/agglomerative.h"
 
 namespace cod {
@@ -51,11 +49,6 @@ double EdgeWeight(const Graph& g, const AttributeTable& attrs,
       return base * (1.0 + options.beta *
                                AttributeJaccard(attrs.AttributesOf(u),
                                                 attrs.AttributesOf(v)));
-    case AttributeTransform::kEmbeddingCosine: {
-      COD_CHECK(options.embeddings != nullptr);
-      const double cosine = options.embeddings->Cosine(u, v);
-      return base * (1.0 + options.beta * std::max(0.0, cosine));
-    }
   }
   COD_CHECK(false);
   return base;

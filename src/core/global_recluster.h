@@ -14,7 +14,6 @@
 #include "common/deadline.h"
 #include "common/status.h"
 #include "graph/attributes.h"
-#include "graph/embeddings.h"
 #include "graph/graph.h"
 #include "hierarchy/dendrogram.h"
 
@@ -33,17 +32,11 @@ enum class AttributeTransform {
   kQueryBoost,
   kJaccard,
   kQueryJaccard,
-  // Non-categorical attributes via embeddings (paper Sec. II-A):
-  // w = base * (1 + beta * max(0, cosine(u, v))); requires
-  // TransformOptions::embeddings. The query attribute is ignored.
-  kEmbeddingCosine,
 };
 
 struct TransformOptions {
   AttributeTransform transform = AttributeTransform::kQueryBoost;
   double beta = 2.0;
-  // Required by kEmbeddingCosine; must outlive every transform call.
-  const EmbeddingTable* embeddings = nullptr;
 };
 
 // Whole-graph transform: same topology, attribute-reshaped weights. The

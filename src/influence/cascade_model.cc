@@ -32,22 +32,6 @@ DiffusionModel DiffusionModel::UniformIc(const Graph& g, double p) {
   return m;
 }
 
-DiffusionModel DiffusionModel::EdgeWeightedCascadeIc(const Graph& g) {
-  DiffusionModel m(g, DiffusionKind::kIndependentCascade);
-  std::vector<double> weight_sum(g.NumNodes(), 0.0);
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    const auto [lo, hi] = g.Endpoints(e);
-    weight_sum[lo] += g.Weight(e);
-    weight_sum[hi] += g.Weight(e);
-  }
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    const auto [lo, hi] = g.Endpoints(e);
-    m.prob_to_lo_[e] = g.Weight(e) / weight_sum[lo];
-    m.prob_to_hi_[e] = g.Weight(e) / weight_sum[hi];
-  }
-  return m;
-}
-
 DiffusionModel DiffusionModel::TrivalencyIc(const Graph& g, Rng& rng) {
   static constexpr double kLevels[3] = {0.1, 0.01, 0.001};
   DiffusionModel m(g, DiffusionKind::kIndependentCascade);

@@ -29,11 +29,6 @@ class DiffusionModel {
  public:
   // IC with p(u, v) = 1 / |N(v)| (weighted cascade, Chen et al.).
   static DiffusionModel WeightedCascadeIc(const Graph& g);
-  // IC with p(u, v) = w(u, v) / sum_x w(x, v): the weighted-cascade analogue
-  // for weighted graphs (e.g., meta-path projections, where edge weight is
-  // the connecting-path count). Equals WeightedCascadeIc on unweighted
-  // graphs.
-  static DiffusionModel EdgeWeightedCascadeIc(const Graph& g);
   // IC with a single probability on every directed edge.
   static DiffusionModel UniformIc(const Graph& g, double p);
   // IC with the trivalency scheme (Chen et al.): each directed edge draws

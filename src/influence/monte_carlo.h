@@ -26,7 +26,7 @@ class MonteCarloSimulator {
   double EstimateInfluence(NodeId seed, size_t trials, Rng& rng,
                            const std::vector<char>* allowed = nullptr);
 
-  // Multi-seed variant (used by influence maximization): all seeds start
+  // Multi-seed variant (EstimateInfluence runs through it): all seeds start
   // active at step 0. Duplicate seeds are allowed and count once.
   double EstimateInfluenceOfSet(std::span<const NodeId> seeds, size_t trials,
                                 Rng& rng,

@@ -32,13 +32,6 @@ Status ServiceOptions::Validate() const {
     return Status::InvalidArgument(
         "ServiceOptions: engine.himor_max_rank must be >= 1");
   }
-  if (num_shards > 1 &&
-      engine.transform.transform == AttributeTransform::kEmbeddingCosine) {
-    // Shards number their nodes compactly; an embedding table is indexed
-    // by whole-graph node id.
-    return Status::InvalidArgument(
-        "ServiceOptions: the embedding-cosine transform needs num_shards 1");
-  }
   if (engine.sketch_bits > 16) {
     return Status::InvalidArgument(
         "ServiceOptions: engine.sketch_bits must be <= 16 (signature "

@@ -133,10 +133,8 @@ struct ServiceOptions {
   // Rejects nonsense before any engine is built: num_shards == 0,
   // async_rebuild without a scheduler, snapshots_keep == 0, a backoff
   // window that shrinks (initial > max), k / theta / himor_max_rank == 0,
-  // engine.sketch_bits > 16, a negative rebuild_threshold /
-  // rebuild_budget_seconds, or the embedding-cosine transform on more than
-  // one shard (its table is indexed by whole-graph node id; shards number
-  // their nodes compactly).
+  // engine.sketch_bits > 16, or a negative rebuild_threshold /
+  // rebuild_budget_seconds.
   Status Validate() const;
 
   // Order-independent 64-bit digest of every field that shapes ANSWERS:

@@ -44,30 +44,6 @@ TEST(CascadeModelTest, LtInWeightsSumToOne) {
   }
 }
 
-TEST(CascadeModelTest, EdgeWeightedCascadeNormalizesByWeight) {
-  // Path 0-1-2 with weights 3 and 1 at node 1: p(0->1) = 3/4, p(2->1) = 1/4.
-  GraphBuilder b(3);
-  b.AddEdge(0, 1, 3.0);
-  b.AddEdge(1, 2, 1.0);
-  const Graph g = std::move(b).Build();
-  const DiffusionModel m = DiffusionModel::EdgeWeightedCascadeIc(g);
-  EXPECT_DOUBLE_EQ(m.ProbToward(g.FindEdge(0, 1), 1), 0.75);
-  EXPECT_DOUBLE_EQ(m.ProbToward(g.FindEdge(1, 2), 1), 0.25);
-  EXPECT_DOUBLE_EQ(m.ProbToward(g.FindEdge(0, 1), 0), 1.0);
-  EXPECT_DOUBLE_EQ(m.ProbToward(g.FindEdge(1, 2), 2), 1.0);
-}
-
-TEST(CascadeModelTest, EdgeWeightedCascadeEqualsDegreeOnUnweighted) {
-  const Graph g = testing::MakeTwoCliquesWithBridge(4);
-  const DiffusionModel by_degree = DiffusionModel::WeightedCascadeIc(g);
-  const DiffusionModel by_weight = DiffusionModel::EdgeWeightedCascadeIc(g);
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    const auto [lo, hi] = g.Endpoints(e);
-    EXPECT_DOUBLE_EQ(by_degree.ProbToward(e, lo), by_weight.ProbToward(e, lo));
-    EXPECT_DOUBLE_EQ(by_degree.ProbToward(e, hi), by_weight.ProbToward(e, hi));
-  }
-}
-
 TEST(CascadeModelTest, TrivalencyDrawsFromThreeLevels) {
   const Graph g = testing::MakeClique(8);
   Rng rng(1);
