@@ -30,11 +30,6 @@ void GraphBuilder::AddEdge(NodeId u, NodeId v, double weight) {
   pending_weights_.push_back(weight);
 }
 
-void GraphBuilder::SetNumNodes(size_t n) {
-  COD_CHECK_GE(n, num_nodes_);
-  num_nodes_ = n;
-}
-
 Graph GraphBuilder::Build() && {
   std::vector<std::pair<NodeId, NodeId>> edges;
   std::vector<double> weights;

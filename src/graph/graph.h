@@ -104,7 +104,6 @@ class GraphBuilder {
   explicit GraphBuilder(size_t num_nodes = 0) : num_nodes_(num_nodes) {}
 
   void AddEdge(NodeId u, NodeId v, double weight = 1.0);
-  void SetNumNodes(size_t n);
   size_t num_nodes() const { return num_nodes_; }
 
   // Builds the CSR graph. If every accumulated weight equals 1.0 the graph is
